@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -138,8 +139,12 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _emit_payload(obj, r: dict, command: str) -> None:
     if r["format"] == "csv":
         _emit(obj.to_csv(), r.get("out"))
-        return
-    payload = obj.to_json_dict()
+    else:
+        _emit_json(obj.to_json_dict(), r, command)
+
+
+def _emit_json(payload: dict, r: dict, command: str) -> None:
+    """Write a result inside the envelope that records the run configuration."""
     envelope = {"command": command, "run_config": {k: r[k] for k in sorted(_DEFAULTS)},
                 "result": payload}
     _emit(json.dumps(envelope, indent=1, sort_keys=True) + "\n", r.get("out"))
@@ -156,8 +161,7 @@ def _cmd_dist(args) -> int:
     r = _resolve(args)
     config = _build_config(r)
     dist = _state_dist(r, config)
-    unit_cfg = DetectorConfig(tau_m=config.tau_m, eta=1.0, nu=0.0,
-                              efficiency=config.efficiency, mode=config.mode)
+    unit_cfg = replace(config, eta=1.0, nu=0.0)  # eta and nu live in the state
     out = click_distribution_independent(dist, unit_cfg, _build_spec(r))
     _emit_payload(out, r, "dist")
     return 0
@@ -185,8 +189,7 @@ def _cmd_cw(args) -> int:
     r = _resolve(args)
     config = _build_config(r)
     dist = _state_dist(r, config)
-    unit_cfg = DetectorConfig(tau_m=config.tau_m, eta=1.0, nu=0.0,
-                              efficiency=config.efficiency, mode=config.mode)
+    unit_cfg = replace(config, eta=1.0, nu=0.0)  # eta and nu live in the state
     md = str(r["memory_depth"])
     if md == "geometric_limit":
         depth = md
@@ -343,10 +346,7 @@ def _cmd_figure(args) -> int:
                     rows.append(f"{args.number},{label},{model},{n},{p}")
         _emit("\n".join(rows) + "\n", r.get("out"))
     else:
-        envelope = {"command": "figure",
-                    "run_config": {k: r[k] for k in sorted(_DEFAULTS)},
-                    "result": payload}
-        _emit(json.dumps(envelope, indent=1, sort_keys=True) + "\n", r.get("out"))
+        _emit_json(payload, r, "figure")
     return 0
 
 

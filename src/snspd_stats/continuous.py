@@ -40,13 +40,13 @@ import numpy as np
 from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
 from .independent import (DEFAULT_SPEC, click_distribution_independent,
-                          cond_prob_matrix, power_matrix)
-from .parallel import map_indexed
+                          cond_prob_matrix, fock_row, perm_rows, poisson_weight,
+                          power_matrix, resolve_n_max)
 from .quadrature import QuadratureSpec, integrate_ordered, _gauss
 from .results import ClickDistribution, ConditionalMatrix
 from .states import PhotonNumberDist
 from .weights import (carry_adjust, lead_exposure, no_count_exposure,
-                      qmc_tilt, span_exposure, support_plan, tail_exposure,
+                      qmc_tilt, span_exposure, tail_exposure, window_integral,
                       window_terms)
 
 _TAU_NEAR_ORDER = 6      # Gauss order for the carry average over [0, tau_d]
@@ -69,8 +69,8 @@ class CwConfig:
     memory_depth: Union[int, str] = 8
 
     def __post_init__(self):
-        if self.delta is not None and self.delta <= 0:
-            raise DomainError("delta must be positive")
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise DomainError("delta must be positive and finite")
         if self.window_count < 1:
             raise DomainError("window_count must be at least 1")
         if isinstance(self.memory_depth, str):
@@ -136,41 +136,6 @@ def _reduced(spec: QuadratureSpec) -> QuadratureSpec:
     return replace(spec, qmc_samples=max(_REDUCED_QMC, spec.qmc_samples // 16))
 
 
-def _fock_row(config: DetectorConfig, n: int, exps: np.ndarray,
-              spec: QuadratureSpec, carry: Optional[float] = None,
-              tail_window: Optional[float] = None) -> np.ndarray:
-    """Support integrals of density * (1-exposure)^e, optionally conditioned.
-
-    ``carry`` conditions the window on a click that happened ``carry``
-    before its start; ``tail_window`` restricts the last click to the final
-    ``tail_window`` stretch of the window.
-    """
-    plan = support_plan(config, n, carry)
-    outer_range = None
-    if tail_window is not None:
-        lo = config.tau_m - tail_window - plan.first_offset - (n - 1) * plan.lower_gap
-        outer_range = (max(0.0, lo), plan.length)
-
-    def f(T):
-        terms = window_terms(config, T)
-        if carry is None:
-            dens, expo = terms.density, terms.exposure
-        else:
-            dens, expo = carry_adjust(config, terms, carry)
-        return dens[:, None] * power_matrix(1.0 - expo, exps)
-
-    splits = [plan.outer_split] if plan.outer_split is not None else []
-    use = spec if n <= 5 else _reduced(spec)
-    val, _ = integrate_ordered(n, config.tau_m, f, use,
-                               lower_gap=plan.lower_gap,
-                               first_offset=plan.first_offset,
-                               outer_range=outer_range, outer_splits=splits,
-                               gap_tilt=qmc_tilt(config))
-    if np.ndim(val) == 0:
-        return np.full(len(exps), float(val))
-    return np.asarray(val, dtype=float)
-
-
 def _carry_nodes(config: DetectorConfig, delta: float):
     """Gauss nodes and weights of the uniform average over [0, delta]."""
     td = config.efficiency.breakpoint or 0.0
@@ -187,7 +152,7 @@ def _carry_nodes(config: DetectorConfig, delta: float):
 
 def _carry_avg_rows(config: DetectorConfig, n: int, exps: np.ndarray,
                     spec: QuadratureSpec, taus: np.ndarray, tws: np.ndarray,
-                    tail_window: Optional[float] = None) -> np.ndarray:
+                    last_click=None) -> np.ndarray:
     """Carry-conditioned row integrals averaged over the given tau nodes.
 
     Carries at or beyond the dead time share one support plan, so their
@@ -202,38 +167,14 @@ def _carry_avg_rows(config: DetectorConfig, n: int, exps: np.ndarray,
     near = taus < td if method == "nested_gauss" else np.zeros(len(taus), bool)
     for tau, wt in zip(taus[near], tws[near]):
         use = spec if n <= 4 else _reduced(replace(spec, method="qmc_sobol"))
-        out += wt * _fock_row(config, n, exps, use, carry=float(tau),
-                              tail_window=tail_window)
+        out += wt * fock_row(config, n, exps, use, carry=float(tau),
+                             last_click=last_click)
     far_t, far_w = taus[~near], tws[~near]
-    if len(far_t) == 0:
-        return out
-    plan = support_plan(config, n)  # integrand vanishes off-support by itself
-    outer_range = None
-    if tail_window is not None:
-        lo = config.tau_m - tail_window - plan.first_offset - (n - 1) * plan.lower_gap
-        outer_range = (max(0.0, lo), plan.length)
-    splits = [plan.outer_split] if plan.outer_split is not None else []
     block = max(1, 64 // max(1, len(exps)))
     use = spec if n <= 5 else _reduced(spec)
     for b0 in range(0, len(far_t), block):
-        tb = far_t[b0:b0 + block]
-
-        def f(T):
-            terms = window_terms(config, T)
-            cols = []
-            for tau in tb:
-                dens, expo = carry_adjust(config, terms, float(tau))
-                cols.append(dens[:, None] * power_matrix(1.0 - expo, exps))
-            return np.concatenate(cols, axis=1)
-
-        val, _ = integrate_ordered(n, config.tau_m, f, use,
-                                   lower_gap=plan.lower_gap,
-                                   first_offset=plan.first_offset,
-                                   outer_range=outer_range, outer_splits=splits,
-                                   gap_tilt=qmc_tilt(config))
-        if np.ndim(val) == 0:
-            val = np.zeros(len(tb) * len(exps))
-        out += far_w[b0:b0 + len(tb)] @ np.asarray(val).reshape(len(tb), len(exps))
+        out += far_w[b0:b0 + block] @ fock_row(
+            config, n, exps, use, carry=far_t[b0:b0 + block], last_click=last_click)
     return out
 
 
@@ -246,23 +187,11 @@ def coherent_click_probability_after_gap(config: DetectorConfig, n: int,
         raise DomainError("carry gap must be nonnegative")
     a = config.effective_mean(alpha_sq)
     if config.efficiency.kind == "ideal":
-        if a == 0.0:
-            return 1.0 if n == 0 else 0.0
-        return math.exp(n * math.log(a) - a - math.lgamma(n + 1))
+        return poisson_weight(n, a)
     if n == 0:
         return math.exp(-a * float(no_count_exposure(config, carry)))
-    plan = support_plan(config, n, carry)
-
-    def f(T):
-        terms = window_terms(config, T)
-        dens, expo = carry_adjust(config, terms, carry)
-        return dens * np.exp(-a * expo)
-
-    splits = [plan.outer_split] if plan.outer_split is not None else []
-    val, _ = integrate_ordered(n, config.tau_m, f, spec,
-                               lower_gap=plan.lower_gap,
-                               first_offset=plan.first_offset,
-                               outer_splits=splits, gap_tilt=qmc_tilt(config))
+    val, _ = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
+                             spec, carry=carry)
     return a**n * float(val)
 
 
@@ -279,30 +208,13 @@ def carryover_matrix(config: DetectorConfig, cw: CwConfig,
         return ConditionalMatrix(entries=out.entries, scenario="cw:carry-averaged",
                                  config=out.config, meta=out.meta)
     delta = resolve_delta(config, cw)
-    cap = config.max_clicks()
-    if n_max is None:
-        n_max = m_max if cap is None else min(cap, m_max)
-    if m_max < n_max:
-        raise DomainError("m_max must be at least n_max")
+    n_max = resolve_n_max(config, n_max, m_max)
     taus, tws = _carry_nodes(config, delta)
 
-    entries = np.zeros((n_max + 1, m_max + 1))
-    ms = np.arange(m_max + 1)
+    entries = perm_rows(config, n_max, m_max, lambda n, exps: _carry_avg_rows(
+        config, n, exps, spec, taus, tws))
     expo0 = np.asarray(no_count_exposure(config, taus))
-    entries[0, :] = tws @ power_matrix(1.0 - expo0, ms)
-
-    def compute_row(n):
-        if cap is not None and n > cap:
-            return np.zeros(m_max + 1 - n)
-        exps = np.arange(m_max + 1 - n)
-        acc = _carry_avg_rows(config, n, exps, spec, taus, tws)
-        perm = np.array([math.perm(int(m), n) for m in range(n, m_max + 1)],
-                        dtype=float)
-        return perm * acc
-
-    rows = map_indexed(compute_row, list(range(1, n_max + 1)))
-    for n, row in zip(range(1, n_max + 1), rows):
-        entries[n, n:] = row
+    entries[0, :] = tws @ power_matrix(1.0 - expo0, np.arange(m_max + 1))
     entries = np.clip(entries, 0.0, 1.0)
     return ConditionalMatrix(entries=entries, scenario="cw:carry-averaged",
                              config=config.to_json_dict(),
@@ -310,27 +222,22 @@ def carryover_matrix(config: DetectorConfig, cw: CwConfig,
 
 
 def _tail_mass(config: DetectorConfig, m_max: int, delta: float,
-               spec: QuadratureSpec, carry: Optional[float] = None,
-               carry_nodes=None) -> np.ndarray:
+               spec: QuadratureSpec, carry_nodes=None) -> np.ndarray:
     """P(last click within ``delta`` of the window end | m photons), per m.
 
     ``carry_nodes`` (taus, weights) averages the probability over a
-    distributed carry-in instead of a fixed one.
+    distributed carry-in; without it the window starts fresh.
     """
-    cap = config.max_clicks()
-    n_rows = m_max if cap is None else min(cap, m_max)
-    mass = np.zeros(m_max + 1)
-    for n in range(1, n_rows + 1):
-        exps = np.arange(m_max + 1 - n)
+    last_click = (config.tau_m - delta, config.tau_m)
+
+    def row(n, exps):
         if carry_nodes is not None:
-            vals = _carry_avg_rows(config, n, exps, spec, carry_nodes[0],
-                                   carry_nodes[1], tail_window=delta)
-        else:
-            vals = _fock_row(config, n, exps, spec, carry=carry, tail_window=delta)
-        perm = np.array([math.perm(int(m), n) for m in range(n, m_max + 1)],
-                        dtype=float)
-        mass[n:] += perm * vals
-    return mass
+            return _carry_avg_rows(config, n, exps, spec, *carry_nodes,
+                                   last_click=last_click)
+        use = spec if n <= 5 else _reduced(spec)
+        return fock_row(config, n, exps, use, last_click=last_click)
+
+    return perm_rows(config, resolve_n_max(config, None, m_max), m_max, row).sum(axis=0)
 
 
 def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,

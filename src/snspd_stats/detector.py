@@ -57,8 +57,8 @@ class EfficiencyProfile:
     def __post_init__(self):
         if self.kind not in ("ideal", "dead_time_only", "exponential_recovery", "tabulated"):
             raise DomainError(f"unknown efficiency profile kind {self.kind!r}")
-        if self.tau_d < 0 or self.tau_r < 0:
-            raise DomainError("tau_d and tau_r must be nonnegative")
+        if not (0 <= self.tau_d < math.inf and 0 <= self.tau_r < math.inf):
+            raise DomainError("tau_d and tau_r must be finite and nonnegative")
         if self.kind == "exponential_recovery" and self.tau_r == 0.0:
             # avoid 0/0 in the exponent; a zero relaxation time is a pure dead time
             object.__setattr__(self, "kind", "dead_time_only")
@@ -314,12 +314,12 @@ class DetectorConfig:
     mode: ModeProfile = field(default_factory=ModeProfile.monochromatic)
 
     def __post_init__(self):
-        if self.tau_m <= 0:
-            raise DomainError("tau_m must be positive")
+        if not 0 < self.tau_m < math.inf:
+            raise DomainError(f"tau_m must be positive and finite, got {self.tau_m}")
         if not 0.0 <= self.eta <= 1.0:
             raise DomainError(f"eta must be in [0, 1], got {self.eta}")
-        if self.nu < 0:
-            raise DomainError(f"nu must be nonnegative, got {self.nu}")
+        if not 0 <= self.nu < math.inf:
+            raise DomainError(f"nu must be finite and nonnegative, got {self.nu}")
 
     def effective_mean(self, x: float) -> float:
         """Replace a mean photon number x by eta*x + nu."""

@@ -32,10 +32,10 @@ import numpy as np
 from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
 from .parallel import map_indexed
-from .quadrature import QuadratureSpec, integrate_ordered
+from .quadrature import QuadratureSpec
 from .results import ClickDistribution, ConditionalMatrix
 from .states import PhotonNumberDist, squeezed_density_from_weights
-from .weights import carry_adjust, qmc_tilt, support_plan, window_terms
+from .weights import window_integral
 
 DEFAULT_SPEC = QuadratureSpec()
 
@@ -56,34 +56,61 @@ def power_matrix(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_vector(value, k: int):
-    if np.ndim(value) == 0:
-        return np.full(k, float(value))
-    return np.asarray(value, dtype=float)
+def fock_row(config: DetectorConfig, n: int, exps: np.ndarray,
+             spec: QuadratureSpec, carry=None, last_click=None):
+    """Integrals of density * (1-exposure)^e over the n-click support, per e.
 
+    ``carry`` and ``last_click`` are passed on to ``window_integral``.
+    The result has shape (len(exps),), or (len(carry), len(exps)) for a
+    1-D array of carries.
+    """
 
-def _row_integrals(config: DetectorConfig, n: int, exps: np.ndarray,
-                   spec: QuadratureSpec, carry: Optional[float] = None,
-                   outer_range=None):
-    """Integrals of density * (1-exposure)^e over the n-click support, per e."""
-
-    plan = support_plan(config, n, carry)
-
-    def f(T):
-        terms = window_terms(config, T)
-        if carry is None:
-            dens, expo = terms.density, terms.exposure
-        else:
-            dens, expo = carry_adjust(config, terms, carry)
+    def reduce(dens, expo):
         return dens[:, None] * power_matrix(1.0 - expo, exps)
 
-    splits = [plan.outer_split] if plan.outer_split is not None else []
-    val, err = integrate_ordered(
-        n, config.tau_m, f, spec,
-        lower_gap=plan.lower_gap, first_offset=plan.first_offset,
-        outer_range=outer_range, outer_splits=splits,
-        gap_tilt=qmc_tilt(config))
-    return _as_vector(val, len(exps)), _as_vector(err, len(exps))
+    val, _ = window_integral(config, n, reduce, spec, carry=carry,
+                             last_click=last_click)
+    return np.broadcast_to(val, np.shape(carry) + (len(exps),))
+
+
+def resolve_n_max(config: DetectorConfig, n_max: Optional[int], m_max: int) -> int:
+    """Highest click row of an m_max matrix: the click cap unless given."""
+    if n_max is None:
+        cap = config.max_clicks()
+        n_max = m_max if cap is None else min(cap, m_max)
+    if m_max < n_max:
+        raise DomainError("m_max must be at least n_max")
+    return n_max
+
+
+def perm_rows(config: DetectorConfig, n_max: int, m_max: int, row) -> np.ndarray:
+    """(n_max+1, m_max+1) table with row n = m!/(m-n)! * row(n, m - n) for m >= n.
+
+    ``row(n, exps)`` gives the support integrals for exponents exps = m - n.
+    Rows n = 1..n_max are computed independently (threaded when configured);
+    row 0 and rows above the click cap stay zero.
+    """
+    cap = config.max_clicks()
+    entries = np.zeros((n_max + 1, m_max + 1))
+
+    def compute_row(n):
+        if cap is not None and n > cap:
+            return np.zeros(m_max + 1 - n)
+        ms = np.arange(n, m_max + 1)
+        perm = np.array([math.perm(int(m), n) for m in ms], dtype=float)
+        return perm * row(n, ms - n)
+
+    rows = map_indexed(compute_row, list(range(1, n_max + 1)))
+    for n, vals in zip(range(1, n_max + 1), rows):
+        entries[n, n:] = vals
+    return entries
+
+
+def poisson_weight(n: int, a: float) -> float:
+    """Poisson probability of n at mean a: the ideal-profile click probability."""
+    if a == 0.0:
+        return 1.0 if n == 0 else 0.0
+    return math.exp(n * math.log(a) - a - math.lgamma(n + 1))
 
 
 def coherent_click_probability(config: DetectorConfig, n: int, alpha_sq: float,
@@ -98,25 +125,14 @@ def coherent_click_probability(config: DetectorConfig, n: int, alpha_sq: float,
         raise DomainError("click number must be nonnegative")
     a = config.effective_mean(alpha_sq)
     if config.efficiency.kind == "ideal":
-        if a == 0.0:
-            return 1.0 if n == 0 else 0.0
-        return math.exp(n * math.log(a) - a - math.lgamma(n + 1))
+        return poisson_weight(n, a)
     if n == 0:
         return math.exp(-a)
     cap = config.max_clicks()
     if cap is not None and n > cap:
         return 0.0
-    plan = support_plan(config, n)
-
-    def f(T):
-        terms = window_terms(config, T)
-        return terms.density * np.exp(-a * terms.exposure)
-
-    splits = [plan.outer_split] if plan.outer_split is not None else []
-    val, _ = integrate_ordered(n, config.tau_m, f, spec,
-                               lower_gap=plan.lower_gap,
-                               first_offset=plan.first_offset,
-                               outer_splits=splits, gap_tilt=qmc_tilt(config))
+    val, _ = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
+                             spec)
     return a**n * val
 
 
@@ -124,31 +140,14 @@ def cond_prob_matrix(config: DetectorConfig, n_max: Optional[int] = None,
                      m_max: int = 0, spec: QuadratureSpec = DEFAULT_SPEC,
                      ) -> ConditionalMatrix:
     """Conditional click probabilities P(n|m) for n = 0..n_max, m = 0..m_max."""
-    cap = config.max_clicks()
-    if n_max is None:
-        n_max = m_max if cap is None else min(cap, m_max)
-    if m_max < n_max:
-        raise DomainError("m_max must be at least n_max")
-
-    entries = np.zeros((n_max + 1, m_max + 1))
+    n_max = resolve_n_max(config, n_max, m_max)
     if config.efficiency.kind == "ideal":
-        for n in range(n_max + 1):
-            entries[n, n] = 1.0
+        entries = np.eye(n_max + 1, m_max + 1)
         scenario = "independent:pnr"
     else:
+        entries = perm_rows(config, n_max, m_max,
+                            lambda n, exps: fock_row(config, n, exps, spec))
         entries[0, 0] = 1.0  # zero clicks from zero photons, never from more
-
-        def compute_row(n):
-            if cap is not None and n > cap:
-                return np.zeros(m_max + 1 - n)
-            ms = np.arange(n, m_max + 1)
-            vals, _ = _row_integrals(config, n, ms - n, spec)
-            perm = np.array([math.perm(int(m), n) for m in ms], dtype=float)
-            return perm * vals
-
-        rows = map_indexed(compute_row, list(range(1, n_max + 1)))
-        for n, row in zip(range(1, n_max + 1), rows):
-            entries[n, n:] = row
         scenario = "independent"
 
     entries = np.clip(entries, 0.0, 1.0)
@@ -181,14 +180,11 @@ def regular_irregular_split(config: DetectorConfig, n: int, m: int,
     if cap is not None and n > cap:
         return 0.0, 0.0
 
-    td = config.efficiency.tau_d
-    plan = support_plan(config, n)
-    boundary = config.tau_m - n * td  # in shifted coordinates
+    boundary = config.tau_m - config.efficiency.tau_d  # latest regular last click
     perm = float(math.perm(m, n))
     exps = np.array([m - n])
-    reg, _ = _row_integrals(config, n, exps, spec, outer_range=(0.0, boundary))
-    irr, _ = _row_integrals(config, n, exps, spec,
-                            outer_range=(boundary, plan.length))
+    reg = fock_row(config, n, exps, spec, last_click=(0.0, boundary))
+    irr = fock_row(config, n, exps, spec, last_click=(boundary, config.tau_m))
     return perm * float(reg[0]), perm * float(irr[0])
 
 
@@ -325,19 +321,12 @@ def squeezed_distribution_direct(config: DetectorConfig, r: float,
     def compute(n):
         if cap is not None and n > cap:
             return 0.0
-        plan = support_plan(config, n)
 
-        def f(T):
-            terms = window_terms(config, T)
-            return squeezed_density_from_weights(terms.density, terms.exposure,
-                                                 n, r, eta=config.eta, nu=config.nu)
+        def reduce(dens, expo):
+            return squeezed_density_from_weights(dens, expo, n, r,
+                                                 eta=config.eta, nu=config.nu)
 
-        splits = [plan.outer_split] if plan.outer_split is not None else []
-        val, _ = integrate_ordered(n, config.tau_m, f, spec,
-                                   lower_gap=plan.lower_gap,
-                                   first_offset=plan.first_offset,
-                                   outer_splits=splits, gap_tilt=qmc_tilt(config))
-        return float(val)
+        return float(window_integral(config, n, reduce, spec)[0])
 
     vals = map_indexed(compute, list(range(1, n_max + 1)))
     probs[1:] = vals

@@ -111,7 +111,6 @@ def _squeezed_number_weights(r: float, tail: float = 1e-10, cap: int = 400) -> n
         return np.array([1.0])
     lt = math.log(math.tanh(r) / 2.0)
     lc = math.log(math.cosh(r))
-    weights = [0.0] * 1
     total, k = 0.0, 0
     vals = {}
     while k <= cap:

@@ -59,8 +59,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.method not in ("auto", "nested_gauss", "qmc_sobol"):
             raise DomainError(f"unknown quadrature method {self.method!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
         if self.gauss_order < 2:
             raise DomainError("gauss_order must be at least 2")
         if self.qmc_samples < 1 << 10:
@@ -103,15 +103,6 @@ def _gauss(order: int):
 
 def simplex_volume(n: int, length: float) -> float:
     return length**n / math.factorial(n) if length > 0 else 0.0
-
-
-def from_pointwise(g: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a scalar-argument integrand for the vectorized engines."""
-
-    def f(T: np.ndarray) -> np.ndarray:
-        return np.array([g(row) for row in T], dtype=float)
-
-    return f
 
 
 def _check_finite(vals: np.ndarray, T: np.ndarray) -> None:

@@ -20,8 +20,48 @@ def _payload_digest(arr: np.ndarray) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _reprs(values):
+    """Floats as repr strings, nested like ``values``."""
+    if np.ndim(values) > 1:
+        return [_reprs(row) for row in values]
+    return [repr(float(v)) for v in values]
+
+
+class _Serialized:
+    """Digest, JSON and CSV forms shared by the result containers.
+
+    A container names its numeric payload field in ``_payload_field`` and
+    its CSV column header in ``_csv_header``; CSV rows are indexed by the
+    click number n.
+    """
+
+    def _payload(self):
+        return getattr(self, self._payload_field)
+
+    def digest(self) -> str:
+        return _payload_digest(self._payload())
+
+    def to_json_dict(self) -> dict:
+        return {
+            "scenario": self.scenario,
+            "config": self.config,
+            "meta": self.meta,
+            "digest": self.digest(),
+            self._payload_field: _reprs(self._payload()),
+        }
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        buf.write("# scenario=%s digest=%s\n" % (self.scenario, self.digest()))
+        buf.write("# config=%s\n" % json.dumps(self.config, sort_keys=True))
+        buf.write(self._csv_header() + "\n")
+        for n, row in enumerate(self._payload()):
+            buf.write(str(n) + "," + ",".join(_reprs(np.atleast_1d(row))) + "\n")
+        return buf.getvalue()
+
+
 @dataclass(frozen=True)
-class ConditionalMatrix:
+class ConditionalMatrix(_Serialized):
     """Click-number probabilities conditioned on the photon number.
 
     ``entries[n, m]`` is the probability of n clicks given m photons at
@@ -34,6 +74,8 @@ class ConditionalMatrix:
     config: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
+    _payload_field = "entries"
+
     @property
     def n_max(self) -> int:
         return self.entries.shape[0] - 1
@@ -45,36 +87,20 @@ class ConditionalMatrix:
     def column_sums(self) -> np.ndarray:
         return self.entries.sum(axis=0)
 
-    def digest(self) -> str:
-        return _payload_digest(self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "config": self.config,
-            "meta": self.meta,
-            "digest": self.digest(),
-            "entries": [[repr(float(v)) for v in row] for row in self.entries],
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("# scenario=%s digest=%s\n" % (self.scenario, self.digest()))
-        buf.write("# config=%s\n" % json.dumps(self.config, sort_keys=True))
-        buf.write("n\\m," + ",".join(str(m) for m in range(self.m_max + 1)) + "\n")
-        for n, row in enumerate(self.entries):
-            buf.write(str(n) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
+    def _csv_header(self) -> str:
+        return "n\\m," + ",".join(str(m) for m in range(self.m_max + 1))
 
 
 @dataclass(frozen=True)
-class ClickDistribution:
+class ClickDistribution(_Serialized):
     """Normalized click-number probabilities with provenance metadata."""
 
     probs: np.ndarray
     scenario: str
     config: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+
+    _payload_field = "probs"
 
     @property
     def n_max(self) -> int:
@@ -86,23 +112,5 @@ class ClickDistribution:
     def mean_clicks(self) -> float:
         return float(np.arange(len(self.probs)) @ self.probs)
 
-    def digest(self) -> str:
-        return _payload_digest(self.probs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "config": self.config,
-            "meta": self.meta,
-            "digest": self.digest(),
-            "probs": [repr(float(v)) for v in self.probs],
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("# scenario=%s digest=%s\n" % (self.scenario, self.digest()))
-        buf.write("# config=%s\n" % json.dumps(self.config, sort_keys=True))
-        buf.write("n,prob\n")
-        for n, v in enumerate(self.probs):
-            buf.write("%d,%s\n" % (n, repr(float(v))))
-        return buf.getvalue()
+    def _csv_header(self) -> str:
+        return "n,prob"

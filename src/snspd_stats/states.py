@@ -56,6 +56,8 @@ class StateSpec:
     def __post_init__(self):
         if self.kind not in ("coherent", "fock", "squeezed_vacuum", "custom"):
             raise DomainError(f"unknown state kind {self.kind!r}")
+        if self.kind == "coherent" and not math.isfinite(self.alpha0):
+            raise DomainError("coherent amplitude must be finite")
         if self.kind == "fock" and self.k < 0:
             raise DomainError("Fock number must be nonnegative")
         if self.kind == "squeezed_vacuum" and self.r < 0:

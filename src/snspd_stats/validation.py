@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -131,7 +132,7 @@ def run_suite(suite: str = "quick", seed: int = 7):
     sq_cfg = DetectorConfig(tau_m=1.0, eta=0.9,
                             efficiency=EfficiencyProfile.exponential(0.05, 0.2))
     sq_dist = photon_number_dist(StateSpec.squeezed(1.0), eta=0.9, nu=0.0)
-    fock_route = click_distribution_independent(sq_dist, replace_eta(sq_cfg), spec)
+    fock_route = click_distribution_independent(sq_dist, replace(sq_cfg, eta=1.0, nu=0.0), spec)
     top_n = 3 if heavy else 2
     direct = squeezed_distribution_direct(sq_cfg, 1.0, n_max=top_n, spec=spec)
     _check(rows, "squeezed_route_equivalence",
@@ -148,9 +149,3 @@ def run_suite(suite: str = "quick", seed: int = 7):
     ok_all = passed == len(rows)
     buf.write("RESULT: %s (%d/%d)\n" % ("PASS" if ok_all else "FAIL", passed, len(rows)))
     return buf.getvalue(), ok_all
-
-
-def replace_eta(config: DetectorConfig) -> DetectorConfig:
-    """Unit-efficiency copy; eta and nu live in the state on the number route."""
-    return DetectorConfig(tau_m=config.tau_m, eta=1.0, nu=0.0,
-                          efficiency=config.efficiency, mode=config.mode)

@@ -23,13 +23,13 @@ the advertised dead-time breakpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .detector import DetectorConfig
 from .errors import DomainError
-from .quadrature import OrderedTimes, _gauss
+from .quadrature import OrderedTimes, QuadratureSpec, _gauss, integrate_ordered
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -113,7 +113,6 @@ def window_terms(config: DetectorConfig, T: np.ndarray) -> WindowTerms:
         density = prof.value(gaps).prod(axis=1) / tm ** T.shape[1]
         first = t1 / tm
         middle = prof.cumulative(gaps).sum(axis=1) / tm
-        tail = prof.cumulative(tm - tn) / tm
     else:
         density = mode.intensity(t1, tm)
         for i in range(1, T.shape[1]):
@@ -122,24 +121,17 @@ def window_terms(config: DetectorConfig, T: np.ndarray) -> WindowTerms:
         middle = np.zeros_like(t1)
         for i in range(gaps.shape[1]):
             middle = middle + _mode_xi_segment(config, T[:, i], T[:, i + 1], T[:, i])
-        tail = _mode_xi_segment(config, tn, np.full_like(tn, tm), tn)
 
-    exposure = first + middle + tail
+    exposure = first + middle + tail_exposure(config, tn)
     return WindowTerms(density=density, exposure=exposure,
                        first_time=t1, first_exposure=first)
 
 
 def carry_adjust(config: DetectorConfig, terms: WindowTerms, carry: ArrayLike):
     """Weights conditioned on a click ``carry`` before the window start."""
-    prof, mode, tm = config.efficiency, config.mode, config.tau_m
     carry = np.asarray(carry, dtype=float)
-    density = terms.density * prof.value(carry + terms.first_time)
-    if mode.kind == "monochromatic":
-        first = (prof.cumulative(carry + terms.first_time) - prof.cumulative(carry)) / tm
-    else:
-        first = _mode_xi_segment(config, np.zeros_like(terms.first_time),
-                                 terms.first_time,
-                                 np.broadcast_to(-carry, terms.first_time.shape))
+    density = terms.density * config.efficiency.value(carry + terms.first_time)
+    first = lead_exposure(config, terms.first_time, carry)
     exposure = terms.exposure - terms.first_exposure + first
     return density, exposure
 
@@ -154,15 +146,9 @@ def no_count_exposure(config: DetectorConfig, carry: ArrayLike):
     carry = np.asarray(carry, dtype=float)
     if np.any(carry < 0):
         raise DomainError("carry gap must be nonnegative")
-    prof, mode, tm = config.efficiency, config.mode, config.tau_m
-    if mode.kind == "monochromatic":
-        out = (prof.cumulative(carry + tm) - prof.cumulative(carry)) / tm
-    else:
-        shape = carry.shape if carry.ndim else (1,)
-        out = _mode_xi_segment(config, np.zeros(shape), np.full(shape, tm),
-                               -carry.reshape(shape))
-        out = out.reshape(carry.shape) if carry.ndim else out[0]
-    return out if np.ndim(out) else float(out)
+    shape = carry.shape if carry.ndim else (1,)
+    out = lead_exposure(config, np.full(shape, config.tau_m), carry.reshape(shape))
+    return out.reshape(carry.shape) if carry.ndim else float(out[0])
 
 
 def pulse_weights(config: DetectorConfig, times) -> PulseWeights:
@@ -253,3 +239,56 @@ def support_plan(config: DetectorConfig, n: int, carry: Optional[float] = None) 
     length = config.tau_m - first - (n - 1) * td
     split = config.tau_m - first - n * td
     return SupportPlan(first, td, length, split if 0 < split < length else None)
+
+
+def window_integral(config: DetectorConfig, n: int,
+                    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    spec: QuadratureSpec,
+                    carry: Union[None, float, Sequence[float]] = None,
+                    last_click: Optional[Tuple[float, float]] = None):
+    """Integral of ``reduce(density, exposure)`` over the n-click support.
+
+    Every full-window statistic is this one ordered-time integral with a
+    different reducer of the pulse weights: (1 - exposure)^e for the number
+    basis, exp(-a * exposure) for coherent light, the squeezed density.
+    ``reduce`` maps the (P,) density and exposure of a batch of click
+    tuples to (P,) or (P, K) values.  The support plan, its outer split
+    and the Sobol tilt are chosen here.
+
+    ``carry`` conditions the window on a click that long before its start.
+    A 1-D array of carries shares one set of nodes on the carry-free
+    support (each carry-adjusted density vanishes off its own narrower
+    support), evaluates ``reduce`` once per carry, which must then return
+    (P, K), and gives the value as a (carries, K) array.  ``last_click =
+    (lo, hi)`` restricts the time of the n-th click to [lo, hi].
+
+    Returns ``(value, error)`` like ``integrate_ordered``: a scalar zero
+    pair when the support is empty.
+    """
+    carries = None
+    if carry is not None and np.ndim(carry):
+        carries, carry = [float(c) for c in carry], None
+    plan = support_plan(config, n, carry)
+    outer_range = None
+    if last_click is not None:
+        outer_range = tuple(t - plan.first_offset - (n - 1) * plan.lower_gap
+                            for t in last_click)
+
+    def f(T):
+        terms = window_terms(config, T)
+        if carries is not None:
+            return np.concatenate([reduce(*carry_adjust(config, terms, c))
+                                   for c in carries], axis=1)
+        if carry is None:
+            return reduce(terms.density, terms.exposure)
+        return reduce(*carry_adjust(config, terms, carry))
+
+    splits = [plan.outer_split] if plan.outer_split is not None else []
+    val, err = integrate_ordered(n, config.tau_m, f, spec,
+                                 lower_gap=plan.lower_gap,
+                                 first_offset=plan.first_offset,
+                                 outer_range=outer_range, outer_splits=splits,
+                                 gap_tilt=qmc_tilt(config))
+    if carries is not None and np.ndim(val):
+        return val.reshape(len(carries), -1), err.reshape(len(carries), -1)
+    return val, err

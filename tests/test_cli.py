@@ -126,6 +126,7 @@ def test_usage_errors():
     assert main(["dist", "--state", "thermal:2"]) == 2
     # closed form demands a zero relaxation time
     assert main(["matrix", "--profile", "exp", "--m-max", "2", "--closed-form"]) == 2
+    assert main(["cw", "--profile", "exp", "--state", "fock:1", "--delta", "nan"]) == 2
 
 
 def test_time_units(capsys):

@@ -12,6 +12,7 @@ from snspd_stats import (ConsistencyError, CwConfig, DetectorConfig,
                          last_click_density, last_click_density_fock,
                          memory_kernels, memory_probability_q, no_count_exposure,
                          photon_number_dist, resolve_delta)
+from snspd_stats.independent import fock_row
 from snspd_stats.quadrature import _gauss
 from snspd_stats.results import ConditionalMatrix
 
@@ -315,3 +316,16 @@ def test_first_window_has_no_memory(exp_kernels):
     a = np.pad(first.probs, (0, pad - len(first.probs)))
     b = np.pad(ind.probs, (0, pad - len(ind.probs)))
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("last_click", [None, (0.7, 1.0)])
+def test_fock_row_carry_block_matches_scalar_carries(n, last_click):
+    spec = QuadratureSpec(qmc_samples=4096)
+    carries = np.array([0.05, 0.12, 0.3])  # all at or beyond the dead time
+    exps = np.arange(4)
+    block = fock_row(EXP, n, exps, spec, carry=carries, last_click=last_click)
+    assert block.shape == (len(carries), len(exps))
+    for row, c in zip(block, carries):
+        single = fock_row(EXP, n, exps, spec, carry=float(c), last_click=last_click)
+        np.testing.assert_allclose(row, single, rtol=spec.rel_tol, atol=spec.abs_tol)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from snspd_stats import DetectorConfig, DomainError, EfficiencyProfile, ModeProfile
+from snspd_stats import (CwConfig, DetectorConfig, DomainError, EfficiencyProfile,
+                         ModeProfile, QuadratureSpec, StateSpec)
 
 
 class TestEfficiencyProfile:
@@ -175,3 +176,19 @@ class TestDetectorConfig:
         cfg = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2))
         assert cfg.digest() == DetectorConfig(
             tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2)).digest()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda x: DetectorConfig(tau_m=x),
+    lambda x: DetectorConfig(tau_m=1.0, nu=x),
+    lambda x: EfficiencyProfile.exponential(x, 0.2),
+    lambda x: EfficiencyProfile.exponential(0.05, x),
+    lambda x: QuadratureSpec(rel_tol=x),
+    lambda x: QuadratureSpec(abs_tol=x),
+    lambda x: CwConfig(delta=x),
+    lambda x: StateSpec.coherent(x),
+], ids=["tau_m", "nu", "tau_d", "tau_r", "rel_tol", "abs_tol", "delta", "coherent"])
+def test_non_finite_inputs_rejected(build, bad):
+    with pytest.raises(DomainError):
+        build(bad)
