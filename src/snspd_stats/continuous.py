@@ -40,14 +40,12 @@ import numpy as np
 from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
 from .independent import (DEFAULT_SPEC, click_distribution_independent,
-                          cond_prob_matrix, fock_row, perm_rows, poisson_weight,
+                          coherent_row, cond_prob_matrix, fock_row, perm_rows,
                           power_matrix, resolve_n_max)
-from .quadrature import QuadratureSpec, integrate_ordered, _gauss
+from .quadrature import QuadratureSpec, _gauss
 from .results import ClickDistribution, ConditionalMatrix
 from .states import PhotonNumberDist
-from .weights import (carry_adjust, lead_exposure, no_count_exposure,
-                      qmc_tilt, span_exposure, tail_exposure, window_integral,
-                      window_terms)
+from .weights import no_count_exposure
 
 _TAU_NEAR_ORDER = 6      # Gauss order for the carry average over [0, tau_d]
 _TAU_FAR_ORDER = 10      # Gauss order for the carry average over [tau_d, Delta]
@@ -132,7 +130,15 @@ class MemoryKernels:
         }
 
 
-def _reduced(spec: QuadratureSpec) -> QuadratureSpec:
+def _kernel_spec(spec: QuadratureSpec, dims: int) -> QuadratureSpec:
+    """Spec for a kernel integral over ``dims`` free click times.
+
+    Up to five dimensions (nested Gauss under ``auto``) the spec is used as
+    given; beyond, the Sobol budget is cut to a sixteenth, at least
+    _REDUCED_QMC samples.
+    """
+    if dims <= 5:
+        return spec
     return replace(spec, qmc_samples=max(_REDUCED_QMC, spec.qmc_samples // 16))
 
 
@@ -166,12 +172,13 @@ def _carry_avg_rows(config: DetectorConfig, n: int, exps: np.ndarray,
     method = spec.resolve_method(n)
     near = taus < td if method == "nested_gauss" else np.zeros(len(taus), bool)
     for tau, wt in zip(taus[near], tws[near]):
-        use = spec if n <= 4 else _reduced(replace(spec, method="qmc_sobol"))
+        # per-node rows leave nested Gauss one dimension early
+        use = spec if n <= 4 else _kernel_spec(replace(spec, method="qmc_sobol"), n + 1)
         out += wt * fock_row(config, n, exps, use, carry=float(tau),
                              last_click=last_click)
     far_t, far_w = taus[~near], tws[~near]
     block = max(1, 64 // max(1, len(exps)))
-    use = spec if n <= 5 else _reduced(spec)
+    use = _kernel_spec(spec, n)
     for b0 in range(0, len(far_t), block):
         out += far_w[b0:b0 + block] @ fock_row(
             config, n, exps, use, carry=far_t[b0:b0 + block], last_click=last_click)
@@ -185,14 +192,7 @@ def coherent_click_probability_after_gap(config: DetectorConfig, n: int,
     """Probability of n clicks given a click ``carry`` before the window start."""
     if carry < 0:
         raise DomainError("carry gap must be nonnegative")
-    a = config.effective_mean(alpha_sq)
-    if config.efficiency.kind == "ideal":
-        return poisson_weight(n, a)
-    if n == 0:
-        return math.exp(-a * float(no_count_exposure(config, carry)))
-    val, _ = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
-                             spec, carry=carry)
-    return a**n * float(val)
+    return coherent_row(config, n, config.effective_mean(alpha_sq), spec, carry=carry)
 
 
 def carryover_matrix(config: DetectorConfig, cw: CwConfig,
@@ -234,8 +234,7 @@ def _tail_mass(config: DetectorConfig, m_max: int, delta: float,
         if carry_nodes is not None:
             return _carry_avg_rows(config, n, exps, spec, *carry_nodes,
                                    last_click=last_click)
-        use = spec if n <= 5 else _reduced(spec)
-        return fock_row(config, n, exps, use, last_click=last_click)
+        return fock_row(config, n, exps, _kernel_spec(spec, n), last_click=last_click)
 
     return perm_rows(config, resolve_n_max(config, None, m_max), m_max, row).sum(axis=0)
 
@@ -343,59 +342,6 @@ def click_distribution_cw(state: PhotonNumberDist, config: DetectorConfig,
               "memory_depth": str(cw.memory_depth), "q": q, "seed": spec.seed})
 
 
-def _pinned_one(config: DetectorConfig, n: int, tau: float,
-                spec: QuadratureSpec, col_fn, carry: Optional[float]) -> float:
-    """Integral over n-1 click times with the n-th click pinned at tau_m - tau.
-
-    The inner times are confined to [0, t_pin - tau_d] (shift-transformed),
-    so the recovery factor of the pinned gap is smooth up to the domain
-    edge.  ``col_fn(dens, expo)`` maps the full density factor and exposure
-    of the n-click tuple to the integrand value.
-    """
-    prof, tm = config.efficiency, config.tau_m
-    td = prof.breakpoint or 0.0
-    first = 0.0 if carry is None else max(0.0, td - carry)
-    t_pin = tm - tau
-    pin_int = float(config.mode.intensity(t_pin, tm))
-    tail_pin = float(tail_exposure(config, np.array(t_pin)))
-
-    if n == 1:
-        if carry is None:
-            first_seg = float(config.mode.cumulative(0.0, t_pin, tm))
-            dens = pin_int
-        else:
-            first_seg = float(lead_exposure(config, np.array(t_pin), carry))
-            dens = float(prof.value(carry + t_pin)) * pin_int
-        if t_pin < first:
-            return 0.0
-        out = col_fn(np.array([[dens]]), np.array([[first_seg + tail_pin]]))
-        return float(np.asarray(out).ravel()[0])
-
-    horizon = t_pin - td
-    if horizon - first - (n - 2) * td <= 0:
-        return 0.0
-
-    def f(Tin):
-        terms = window_terms(config, Tin)
-        if carry is None:
-            dens_core, expo_full = terms.density, terms.exposure
-        else:
-            dens_core, expo_full = carry_adjust(config, terms, carry)
-        t_last = Tin[:, -1]
-        gap = t_pin - t_last
-        expo_core = expo_full - np.asarray(tail_exposure(config, t_last))
-        seg = np.asarray(span_exposure(config, t_last, np.full_like(t_last, t_pin)))
-        dens = dens_core * np.asarray(prof.value(gap)) * pin_int
-        expo = expo_core + seg + tail_pin
-        return col_fn(dens[:, None], expo[:, None])[:, 0]
-
-    use = spec if n - 1 <= 5 else _reduced(spec)
-    val, _ = integrate_ordered(n - 1, horizon, f, use,
-                               lower_gap=td, first_offset=first,
-                               gap_tilt=qmc_tilt(config, pinned=True))
-    return float(val)
-
-
 def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
                        spec: QuadratureSpec = DEFAULT_SPEC,
                        carry: Optional[float] = None,
@@ -421,15 +367,12 @@ def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
     cap = config.max_clicks()
     if n_cut is None:
         n_cut = cap if cap is not None else int(a + 12 * math.sqrt(a + 1) + 10)
-
-    def col_fn(dens, expo):
-        return dens * np.exp(-a * expo)
-
     out = np.zeros(len(taus))
     for j, t in enumerate(taus):
         total = 0.0
         for n in range(1, n_cut + 1):
-            term = a**n * _pinned_one(config, n, float(t), spec, col_fn, carry)
+            term = coherent_row(config, n, a, _kernel_spec(spec, n - 1), carry=carry,
+                                last_click=config.tau_m - float(t))
             total += term
             if n > a and term < 1e-9 * max(total, 1e-300):
                 break
@@ -457,16 +400,8 @@ def last_click_density_fock(config: DetectorConfig, m: int, tau,
     for j, t in enumerate(taus):
         total = 0.0
         for n in range(1, n_rows + 1):
-            def col_fn(dens, expo, n=n):
-                return dens * _power_flat(1.0 - expo, m - n)
-            total += math.perm(m, n) * _pinned_one(config, n, float(t), spec,
-                                                   col_fn, carry)
+            row = fock_row(config, n, np.array([m - n]), _kernel_spec(spec, n - 1),
+                           carry=carry, last_click=config.tau_m - float(t))
+            total += math.perm(m, n) * float(row[0])
         out[j] = total
     return out if np.ndim(tau) else float(out[0])
-
-
-def _power_flat(base: np.ndarray, e: int) -> np.ndarray:
-    """Elementwise base**e with the zero-exposure guards of power_matrix."""
-    shape = base.shape
-    flat = power_matrix(base.ravel(), np.array([e]))[:, 0]
-    return flat.reshape(shape)

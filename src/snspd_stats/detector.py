@@ -42,6 +42,23 @@ def _as_array(x):
     return np.asarray(x, dtype=float)
 
 
+def _knot_table(table, what: str, symbol: str):
+    """Knot times and values of a tabulated profile, checked.
+
+    The table needs at least two finite (t, value) samples with strictly
+    increasing times.
+    """
+    if not table or len(table) < 2:
+        raise DomainError(f"tabulated {what} needs at least two (t, {symbol}) samples")
+    t = np.array([p[0] for p in table], dtype=float)
+    v = np.array([p[1] for p in table], dtype=float)
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise DomainError(f"tabulated {what} samples must be finite")
+    if np.any(np.diff(t) <= 0):
+        raise DomainError(f"tabulated {what} times must be strictly increasing")
+    return t, v
+
+
 @dataclass(frozen=True)
 class EfficiencyProfile:
     """Time-dependent efficiency xi(t) of the detector after a click."""
@@ -63,12 +80,7 @@ class EfficiencyProfile:
             # avoid 0/0 in the exponent; a zero relaxation time is a pure dead time
             object.__setattr__(self, "kind", "dead_time_only")
         if self.kind == "tabulated":
-            if not self.table or len(self.table) < 2:
-                raise DomainError("tabulated profile needs at least two (t, xi) samples")
-            t = np.array([p[0] for p in self.table], dtype=float)
-            v = np.array([p[1] for p in self.table], dtype=float)
-            if np.any(np.diff(t) <= 0):
-                raise DomainError("tabulated profile times must be strictly increasing")
+            t, v = _knot_table(self.table, "profile", "xi")
             if t[0] < 0:
                 raise DomainError("tabulated profile times must be nonnegative")
             if np.any(v < -_CLAMP_TOL) or np.any(v > 1 + _CLAMP_TOL):
@@ -129,17 +141,6 @@ class EfficiencyProfile:
         if self.kind in ("dead_time_only", "exponential_recovery") and self.tau_d > 0:
             return self.tau_d
         return None
-
-    @property
-    def recovery_horizon(self) -> float:
-        """Time after which xi is considered fully recovered."""
-        if self.kind == "ideal":
-            return 0.0
-        if self.kind == "dead_time_only":
-            return self.tau_d
-        if self.kind == "exponential_recovery":
-            return self.tau_d + 20.0 * self.tau_r
-        return float(self._knots_t[-1])
 
     def value(self, t):
         """xi(t); accepts scalars or arrays, returns the same shape."""
@@ -218,12 +219,7 @@ class ModeProfile:
         if self.kind not in ("monochromatic", "tabulated"):
             raise DomainError(f"unknown mode profile kind {self.kind!r}")
         if self.kind == "tabulated":
-            if not self.table or len(self.table) < 2:
-                raise DomainError("tabulated mode needs at least two (t, I) samples")
-            t = np.array([p[0] for p in self.table], dtype=float)
-            v = np.array([p[1] for p in self.table], dtype=float)
-            if np.any(np.diff(t) <= 0):
-                raise DomainError("tabulated mode times must be strictly increasing")
+            t, v = _knot_table(self.table, "mode", "I")
             if abs(t[0]) > 1e-12:
                 raise DomainError("tabulated mode must start at t = 0")
             if np.any(v < 0):

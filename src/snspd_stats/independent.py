@@ -35,7 +35,7 @@ from .parallel import map_indexed
 from .quadrature import QuadratureSpec
 from .results import ClickDistribution, ConditionalMatrix
 from .states import PhotonNumberDist, squeezed_density_from_weights
-from .weights import window_integral
+from .weights import no_count_exposure, window_integral
 
 DEFAULT_SPEC = QuadratureSpec()
 
@@ -113,6 +113,26 @@ def poisson_weight(n: int, a: float) -> float:
     return math.exp(n * math.log(a) - a - math.lgamma(n + 1))
 
 
+def coherent_row(config: DetectorConfig, n: int, a: float, spec: QuadratureSpec,
+                 carry=None, last_click=None) -> float:
+    """a^n times the integral of density * exp(-a * exposure) over n clicks.
+
+    This is the n-click probability at effective mean a, or with a float
+    ``last_click`` its density in the time of the n-th click; ``carry``
+    and ``last_click`` are passed on to ``window_integral``.  Without a
+    pinned click an ideal profile gives the Poisson weight.
+    """
+    if n < 0:
+        raise DomainError("click number must be nonnegative")
+    if config.efficiency.kind == "ideal" and last_click is None:
+        return poisson_weight(n, a)
+    if n == 0:
+        return math.exp(-a if carry is None else -a * float(no_count_exposure(config, carry)))
+    val, _ = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
+                             spec, carry=carry, last_click=last_click)
+    return a**n * float(val)
+
+
 def coherent_click_probability(config: DetectorConfig, n: int, alpha_sq: float,
                                spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Probability of n clicks given a coherent state of mean photon number alpha_sq.
@@ -121,19 +141,10 @@ def coherent_click_probability(config: DetectorConfig, n: int, alpha_sq: float,
     ordered-time integral is taken.  An ideal profile reduces to the Poisson
     weight without any quadrature.
     """
-    if n < 0:
-        raise DomainError("click number must be nonnegative")
-    a = config.effective_mean(alpha_sq)
-    if config.efficiency.kind == "ideal":
-        return poisson_weight(n, a)
-    if n == 0:
-        return math.exp(-a)
     cap = config.max_clicks()
     if cap is not None and n > cap:
         return 0.0
-    val, _ = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
-                             spec)
-    return a**n * val
+    return coherent_row(config, n, config.effective_mean(alpha_sq), spec)
 
 
 def cond_prob_matrix(config: DetectorConfig, n_max: Optional[int] = None,

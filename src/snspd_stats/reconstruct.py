@@ -12,6 +12,7 @@ exponential depletion factor when it matters, and clamps the result to
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,12 +42,14 @@ class ReconstructionSpec:
     min_preceding_gap: Optional[float] = None
 
     def __post_init__(self):
-        if self.bin_width <= 0 or self.t_max <= 0:
-            raise DomainError("bin_width and t_max must be positive")
+        if not (0 < self.bin_width < math.inf and 0 < self.t_max < math.inf):
+            raise DomainError("bin_width and t_max must be positive and finite")
         if self.bin_width >= self.t_max:
             raise DomainError("bin_width must be smaller than t_max")
-        if self.lambda_hint is not None and self.lambda_hint <= 0:
-            raise DomainError("lambda_hint must be positive")
+        if self.lambda_hint is not None and not 0 < self.lambda_hint < math.inf:
+            raise DomainError("lambda_hint must be positive and finite")
+        if self.min_preceding_gap is not None and not math.isfinite(self.min_preceding_gap):
+            raise DomainError("min_preceding_gap must be finite")
         if self.tail_correction not in ("auto", "none", "rate", "self"):
             raise DomainError(f"unknown tail_correction {self.tail_correction!r}")
 

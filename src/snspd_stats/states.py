@@ -161,10 +161,6 @@ class PhotonNumberDist:
     def mean(self) -> float:
         return float(np.arange(len(self.probs)) @ self.probs)
 
-    @classmethod
-    def vacuum(cls) -> "PhotonNumberDist":
-        return cls(probs=np.array([1.0]), tail=0.0, eta=1.0, nu=0.0, label="vacuum")
-
 
 def _legendre_imag_sequence(n_max: int, y: float) -> np.ndarray:
     """P_k(i*y) for k = 0..n_max at a scalar y, complex recurrence."""

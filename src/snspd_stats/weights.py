@@ -245,7 +245,7 @@ def window_integral(config: DetectorConfig, n: int,
                     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     spec: QuadratureSpec,
                     carry: Union[None, float, Sequence[float]] = None,
-                    last_click: Optional[Tuple[float, float]] = None):
+                    last_click: Union[None, float, Tuple[float, float]] = None):
     """Integral of ``reduce(density, exposure)`` over the n-click support.
 
     Every full-window statistic is this one ordered-time integral with a
@@ -260,7 +260,10 @@ def window_integral(config: DetectorConfig, n: int,
     support (each carry-adjusted density vanishes off its own narrower
     support), evaluates ``reduce`` once per carry, which must then return
     (P, K), and gives the value as a (carries, K) array.  ``last_click =
-    (lo, hi)`` restricts the time of the n-th click to [lo, hi].
+    (lo, hi)`` restricts the time of the n-th click to [lo, hi]; a float
+    ``last_click`` pins it there and leaves the density in that time.  The
+    n-1 free times of a pinned integral use the same plan up to the pin
+    less the lower gap; for n = 1 the single tuple is evaluated.
 
     Returns ``(value, error)`` like ``integrate_ordered``: a scalar zero
     pair when the support is empty.
@@ -269,12 +272,11 @@ def window_integral(config: DetectorConfig, n: int,
     if carry is not None and np.ndim(carry):
         carries, carry = [float(c) for c in carry], None
     plan = support_plan(config, n, carry)
-    outer_range = None
-    if last_click is not None:
-        outer_range = tuple(t - plan.first_offset - (n - 1) * plan.lower_gap
-                            for t in last_click)
+    pin = None if last_click is None or np.ndim(last_click) else float(last_click)
 
     def f(T):
+        if pin is not None:
+            T = np.column_stack([T, np.full(len(T), pin)])
         terms = window_terms(config, T)
         if carries is not None:
             return np.concatenate([reduce(*carry_adjust(config, terms, c))
@@ -283,12 +285,28 @@ def window_integral(config: DetectorConfig, n: int,
             return reduce(terms.density, terms.exposure)
         return reduce(*carry_adjust(config, terms, carry))
 
-    splits = [plan.outer_split] if plan.outer_split is not None else []
-    val, err = integrate_ordered(n, config.tau_m, f, spec,
-                                 lower_gap=plan.lower_gap,
-                                 first_offset=plan.first_offset,
-                                 outer_range=outer_range, outer_splits=splits,
-                                 gap_tilt=qmc_tilt(config))
+    if pin is not None and n == 1:
+        if pin < plan.first_offset:
+            return 0.0, 0.0
+        val = f(np.empty((1, 0)))[0]
+        err = 0.0 * val
+    else:
+        dims, length, outer_range, splits = n, config.tau_m, None, []
+        if pin is not None:
+            dims, length = n - 1, pin - plan.lower_gap
+            if length <= 0:
+                return 0.0, 0.0
+        else:
+            if last_click is not None:
+                outer_range = tuple(t - plan.first_offset - (n - 1) * plan.lower_gap
+                                    for t in last_click)
+            if plan.outer_split is not None:
+                splits = [plan.outer_split]
+        val, err = integrate_ordered(dims, length, f, spec,
+                                     lower_gap=plan.lower_gap,
+                                     first_offset=plan.first_offset,
+                                     outer_range=outer_range, outer_splits=splits,
+                                     gap_tilt=qmc_tilt(config, pinned=pin is not None))
     if carries is not None and np.ndim(val):
         return val.reshape(len(carries), -1), err.reshape(len(carries), -1)
     return val, err

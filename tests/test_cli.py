@@ -121,12 +121,17 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 2
     assert main(["dist", "--state", "thermal:2"]) == 2
     # closed form demands a zero relaxation time
     assert main(["matrix", "--profile", "exp", "--m-max", "2", "--closed-form"]) == 2
     assert main(["cw", "--profile", "exp", "--state", "fock:1", "--delta", "nan"]) == 2
+    gaps = tmp_path / "gaps.f64"
+    np.array([0.1, 0.2, 0.35]).astype("<f8").tofile(gaps)
+    for flags in (["--bin-width", "nan"], ["--t-max", "inf"], ["--rate-hint", "nan"],
+                  ["--min-preceding-gap", "nan"]):
+        assert main(["reconstruct", "--gaps", str(gaps), *flags]) == 2
 
 
 def test_time_units(capsys):

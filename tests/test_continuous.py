@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snspd_stats import (ConsistencyError, CwConfig, DetectorConfig,
+from snspd_stats import (ConsistencyError, CwConfig, DetectorConfig, ModeProfile,
                          DomainError, EfficiencyProfile, MemoryKernels,
                          QuadratureSpec, StateSpec, carryover_matrix,
                          click_distribution_cw, click_distribution_independent,
@@ -329,3 +329,36 @@ def test_fock_row_carry_block_matches_scalar_carries(n, last_click):
     for row, c in zip(block, carries):
         single = fock_row(EXP, n, exps, spec, carry=float(c), last_click=last_click)
         np.testing.assert_allclose(row, single, rtol=spec.rel_tol, atol=spec.abs_tol)
+
+
+TAB_MODE = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2),
+                          mode=ModeProfile.tabulated(
+                              [(t, 1.0 + math.sin(3.0 * t)) for t in np.linspace(0, 1, 11)]))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("carry", [None, 0.02])
+@pytest.mark.parametrize("config, rtol", [
+    (EXP, 1e-12),
+    (DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.dead_time(0.05)), 1e-12),
+    (TAB_MODE, 1e-4),
+], ids=["exp", "deadtime", "tabulated_mode"])
+def test_pinned_rows_integrate_to_last_click_range(config, rtol, n, carry):
+    # the pinned density in the last-click time integrates to the range row
+    exps = np.arange(3)
+    x, w = _gauss(16)
+    lo, hi = 0.7, 0.9
+    pinned = sum(0.5 * (hi - lo) * wk
+                 * fock_row(config, n, exps, SPEC, carry=carry,
+                            last_click=0.5 * (hi - lo) * xk + 0.5 * (hi + lo))
+                 for xk, wk in zip(x, w))
+    ranged = fock_row(config, n, exps, SPEC, carry=carry, last_click=(lo, hi))
+    np.testing.assert_allclose(pinned, ranged, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("config", [
+    IDEAL, DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.dead_time(0.05))],
+    ids=["ideal", "deadtime"])
+def test_after_gap_rejects_negative_click_number(config):
+    with pytest.raises(DomainError):
+        coherent_click_probability_after_gap(config, -1, 1.0, 0.1)

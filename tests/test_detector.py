@@ -188,7 +188,12 @@ class TestDetectorConfig:
     lambda x: QuadratureSpec(abs_tol=x),
     lambda x: CwConfig(delta=x),
     lambda x: StateSpec.coherent(x),
-], ids=["tau_m", "nu", "tau_d", "tau_r", "rel_tol", "abs_tol", "delta", "coherent"])
+    lambda x: EfficiencyProfile.tabulated([(0.0, 0.1), (x, 0.5), (1.0, 1.0)]),
+    lambda x: EfficiencyProfile.tabulated([(0.0, 0.1), (0.5, x), (1.0, 1.0)]),
+    lambda x: ModeProfile.tabulated([(0.0, 1.0), (x, 1.0), (1.0, 1.0)]),
+    lambda x: ModeProfile.tabulated([(0.0, 1.0), (0.5, x), (1.0, 1.0)]),
+], ids=["tau_m", "nu", "tau_d", "tau_r", "rel_tol", "abs_tol", "delta", "coherent",
+        "profile_knot_t", "profile_knot_xi", "mode_knot_t", "mode_knot_i"])
 def test_non_finite_inputs_rejected(build, bad):
     with pytest.raises(DomainError):
         build(bad)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,15 @@ def test_errors():
         # everything piles up at small times, the plateau is empty
         reconstruct_efficiency(np.full(1000, 0.01),
                                ReconstructionSpec(bin_width=0.1, t_max=2.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["bin_width", "t_max", "lambda_hint", "min_preceding_gap"])
+def test_non_finite_spec_rejected(field, bad):
+    kwargs = dict(bin_width=0.1, t_max=1.0, lambda_hint=0.2, min_preceding_gap=0.1)
+    kwargs[field] = bad
+    with pytest.raises(DomainError):
+        ReconstructionSpec(**kwargs)
 
 
 def test_gap_io_round_trip(tmp_path):
