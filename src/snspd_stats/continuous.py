@@ -211,14 +211,15 @@ def carryover_matrix(config: DetectorConfig, cw: CwConfig,
     n_max = resolve_n_max(config, n_max, m_max)
     taus, tws = _carry_nodes(config, delta)
 
-    entries = perm_rows(config, n_max, m_max, lambda n, exps: _carry_avg_rows(
-        config, n, exps, spec, taus, tws))
+    entries, provenance = perm_rows(
+        config, n_max, m_max, spec,
+        lambda n, exps: _carry_avg_rows(config, n, exps, spec, taus, tws), carries=(taus, tws))
     expo0 = np.asarray(no_count_exposure(config, taus))
     entries[0, :] = tws @ power_matrix(1.0 - expo0, np.arange(m_max + 1))
     entries = np.clip(entries, 0.0, 1.0)
     return ConditionalMatrix(entries=entries, scenario="cw:carry-averaged",
                              config=config.to_json_dict(),
-                             meta={"delta": delta, "seed": spec.seed})
+                             meta={"delta": delta, "seed": spec.seed, **provenance})
 
 
 def _tail_mass(config: DetectorConfig, m_max: int, delta: float,
@@ -236,7 +237,9 @@ def _tail_mass(config: DetectorConfig, m_max: int, delta: float,
                                    last_click=last_click)
         return fock_row(config, n, exps, _kernel_spec(spec, n), last_click=last_click)
 
-    return perm_rows(config, resolve_n_max(config, None, m_max), m_max, row).sum(axis=0)
+    entries, _ = perm_rows(config, resolve_n_max(config, None, m_max), m_max, spec, row,
+                           carries=carry_nodes, last_click=last_click)
+    return entries.sum(axis=0)
 
 
 def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,

@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import renewal
 from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
 from .parallel import map_indexed
@@ -83,27 +84,53 @@ def resolve_n_max(config: DetectorConfig, n_max: Optional[int], m_max: int) -> i
     return n_max
 
 
-def perm_rows(config: DetectorConfig, n_max: int, m_max: int, row) -> np.ndarray:
+def perm_rows(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
+              row, carries=None, last_click=None):
     """(n_max+1, m_max+1) table with row n = m!/(m-n)! * row(n, m - n) for m >= n.
 
-    ``row(n, exps)`` gives the support integrals for exponents exps = m - n.
-    Rows n = 1..n_max are computed independently (threaded when configured);
-    row 0 and rows above the click cap stay zero.
+    ``row(n, exps)`` gives the support integrals for exponents exps = m - n
+    of a window entered with the carry average ``carries`` (taus, weights),
+    fresh when None, and with the n-th click restricted to ``last_click``.
+    Under ``spec.method == "auto"`` a row comes from ``renewal.fock_table``
+    for the same window when the engine serves the configuration and every
+    entry of the row meets ``spec``'s tolerance against its error
+    estimate.  Other rows n = 1..n_max are computed independently (threaded
+    when configured); row 0 and rows above the click cap stay zero.
+
+    Returns ``(entries, meta)``; meta records the requested ``method``,
+    the ``engines`` of rows 0..n_max ("closed_form" for the zero-click row
+    and rows above the cap, else "renewal" or the resolved quadrature
+    method) and ``renewal_err``, the largest error estimate of the renewal
+    rows taken (None without any).
     """
     cap = config.max_clicks()
+    top = n_max if cap is None else min(cap, n_max)
     entries = np.zeros((n_max + 1, m_max + 1))
+    done, renewal_err = {}, None
+    if spec.method == "auto" and top >= 1 and renewal.serves(config, m_max):
+        taus, tws = (None, None) if carries is None else carries
+        value, err = renewal.fock_table(config, top, m_max, carry=taus,
+                                        last_click=last_click)
+        if tws is not None:
+            value, err = np.tensordot(tws, value, 1), np.tensordot(tws, err, 1)
+        ok = np.all(err <= spec.rel_tol * np.abs(value) + spec.abs_tol, axis=1)
+        done = {n: value[n, n:] for n in range(1, top + 1) if ok[n]}
+        if done:
+            renewal_err = float(max(err[n].max() for n in done))
 
     def compute_row(n):
-        if cap is not None and n > cap:
-            return np.zeros(m_max + 1 - n)
         ms = np.arange(n, m_max + 1)
         perm = np.array([math.perm(int(m), n) for m in ms], dtype=float)
         return perm * row(n, ms - n)
 
-    rows = map_indexed(compute_row, list(range(1, n_max + 1)))
-    for n, vals in zip(range(1, n_max + 1), rows):
+    engines = ["closed_form"] * (n_max + 1)
+    for n in range(1, top + 1):
+        engines[n] = "renewal" if n in done else spec.resolve_method(n)
+    todo = [n for n in range(1, top + 1) if n not in done]
+    done.update(zip(todo, map_indexed(compute_row, todo)))
+    for n, vals in done.items():
         entries[n, n:] = vals
-    return entries
+    return entries, {"method": spec.method, "engines": engines, "renewal_err": renewal_err}
 
 
 def poisson_weight(n: int, a: float) -> float:
@@ -155,9 +182,10 @@ def cond_prob_matrix(config: DetectorConfig, n_max: Optional[int] = None,
     if config.efficiency.kind == "ideal":
         entries = np.eye(n_max + 1, m_max + 1)
         scenario = "independent:pnr"
+        provenance = {"engines": ["closed_form"] * (n_max + 1), "renewal_err": None}
     else:
-        entries = perm_rows(config, n_max, m_max,
-                            lambda n, exps: fock_row(config, n, exps, spec))
+        entries, provenance = perm_rows(config, n_max, m_max, spec,
+                                        lambda n, exps: fock_row(config, n, exps, spec))
         entries[0, 0] = 1.0  # zero clicks from zero photons, never from more
         scenario = "independent"
 
@@ -165,7 +193,7 @@ def cond_prob_matrix(config: DetectorConfig, n_max: Optional[int] = None,
     return ConditionalMatrix(entries=entries, scenario=scenario,
                              config=config.to_json_dict(),
                              meta={"method": spec.method, "seed": spec.seed,
-                                   "rel_tol": spec.rel_tol})
+                                   "rel_tol": spec.rel_tol, **provenance})
 
 
 def regular_irregular_split(config: DetectorConfig, n: int, m: int,
@@ -247,8 +275,15 @@ def same_count_probability(config: DetectorConfig, n: int) -> float:
     Valid for the exponential-recovery profile with a monochromatic mode.
     This diagonal measures how well the detector distinguishes photon
     numbers; it is 1 for a photon-number-resolving detector and decays as
-    dead and relaxation times grow.  The closed form needs n >= 2; zero
-    and one photon are always fully resolved.
+    dead and relaxation times grow.  Zero and one photon are always fully
+    resolved.  For n >= 2, with x = (tau_m - (n-1) tau_d)/tau_r,
+
+        P(n|n) = n!/(2n-1)! x^(n-1) ((tau_m - (n-1) tau_d)/tau_m)^n
+                 e^(-x) 1F1(n+1; 2n; x),
+
+    evaluated in logs; the Kummer series has only positive terms, so the
+    value keeps its digits at every n (an alternating-sum form loses them
+    from n ~ 8).
     """
     if config.mode.kind != "monochromatic":
         raise DomainError("closed form requires a monochromatic mode")
@@ -261,24 +296,27 @@ def same_count_probability(config: DetectorConfig, n: int) -> float:
     cap = config.max_clicks()
     if cap is not None and n > cap:
         return 0.0
+    from scipy.special import gammaln, hyp1f1
+
     td, tr, tm = config.efficiency.tau_d, config.efficiency.tau_r, config.tau_m
-    a = (tm - (n - 1) * td) / tr
-    if a <= 0:
+    length = tm - (n - 1) * td
+    if length <= 0:
         return 0.0
-    terms = [
-        a**l * (-1.0) ** (n - l)
-        * math.factorial(n) * math.factorial(2 * n - 2 - l)
-        / (math.factorial(l) * math.factorial(n - l) * math.factorial(n - 2))
-        for l in range(n + 1)
-    ]
-    first = math.fsum(terms)
-    tail_terms = [
-        a**l * math.factorial(2 * n - 2 - l)
-        / (math.factorial(l) * math.factorial(n - l - 2))
-        for l in range(n - 1)
-    ]
-    second = (-1.0) ** (n - 1) * math.exp(-a) * math.fsum(tail_terms)
-    return (tr / tm) ** n * (first + second)
+    x = length / tr
+    if x < 700.0:
+        # positive-term series; its growth like e^x is taken out in logs
+        log_f = math.log(hyp1f1(n + 1, 2 * n, x)) - x
+    else:
+        # Kummer's transformation, where e^x would overflow:
+        # e^(-x) 1F1(n+1; 2n; x) = 1F1(n-1; 2n; -x)
+        f = hyp1f1(n - 1, 2 * n, -x)
+        if f <= 0.0:
+            raise DomainError(f"same-count closed form underflows at n={n}, "
+                              f"(tau_m - (n-1) tau_d)/tau_r = {x:.3g}")
+        log_f = math.log(f)
+    log_p = (gammaln(n + 1) - gammaln(2 * n) + (n - 1) * math.log(x)
+             + n * math.log(length / tm) + log_f)
+    return min(1.0, math.exp(log_p))
 
 
 def _required_m_max(state: PhotonNumberDist, bound: float) -> int:

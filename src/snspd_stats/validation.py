@@ -70,6 +70,12 @@ def run_suite(suite: str = "quick", seed: int = 7):
     q22 = cond_prob_matrix(exp_cfg, n_max=2, m_max=2, spec=spec).entries[2, 2]
     _check(rows, "same_count_quadrature", abs(p22 - q22), 1e-4)
 
+    # the default engine (renewal rows) against nested Gauss on the same table
+    auto = cond_prob_matrix(exp_cfg, n_max=3, m_max=8, spec=spec).entries
+    gauss = cond_prob_matrix(exp_cfg, n_max=3, m_max=8,
+                             spec=replace(spec, method="nested_gauss")).entries
+    _check(rows, "renewal_vs_nested_gauss", float(np.max(np.abs(auto - gauss))), 1e-6)
+
     # normalization of the click distribution for a coherent state
     alpha = 2.0 if heavy else 1.0
     dist2 = photon_number_dist(StateSpec.coherent(alpha), eta=1.0, nu=0.0)

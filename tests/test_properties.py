@@ -54,7 +54,7 @@ def test_ideal_profile_gives_identity(m_max):
 def test_ideal_cw_equals_independent_windows(alpha_sq, eta, windows, delta):
     config = DetectorConfig(tau_m=1.0)
     cw = CwConfig(delta=delta, window_count=windows)
-    state = photon_number_dist(StateSpec.coherent(alpha_sq), eta=eta, nu=0.0, m_max=25)
+    state = photon_number_dist(StateSpec.coherent(alpha_sq), eta=eta, nu=0.0)
     cw_probs = click_distribution_cw(state, config, cw).probs
     assert np.array_equal(cw_probs, click_distribution_independent(state, config).probs)
     carried = carryover_matrix(config, cw, m_max=M_MAX).entries
