@@ -42,20 +42,27 @@ from .errors import DomainError
 from .quadrature import _gauss
 
 # Highest photon number served.  FFT round-off in the zero-padded series
-# product grows like (max D / min D)^k with the series degree k; for the
-# exponential profile tables stay clean up to m_max = 24 and start to miss
-# their own error estimate at 28.  Past the cutoff callers use quadrature
-# without building any series (m = 256 would cost seconds for nothing).
+# product grows like (max D / min D)^k with the series degree k.  For the
+# exponential profile (tau_d = 0.05, tau_r = 0.2) every row passes its error
+# test up to m_max = 24; at 28 the test rejects rows 10-11 and at 32 rows
+# 8-14, which fall back to quadrature.  Past the cutoff the engine is skipped
+# before it builds any series (figure 5 runs at m = 256).
 M_MAX = 32
 
 # Coarsest grid size over the window; the Richardson ladder uses N, 2N and
-# 4N.  At N = 500 the ladder's error estimate sits below 1e-10 for
-# recovery times down to a few grid steps (tau_r >~ 0.01 tau_m) and flags
-# faster recoveries, whose rows then fall back to quadrature.
+# 4N.  With N = 500 (tau_d = 0.05 tau_m, m <= 8, default tolerance) every
+# row passes for tau_r down to 0.005 tau_m; from tau_r = 0.002 tau_m the
+# estimate flags the rows the grid does not resolve, and they fall back to
+# quadrature.
 _GRID = 500
 
 _LAGRANGE = 8      # points of the local interpolant of the chained table (degree 7)
-_TAIL_ORDER = 48   # Gauss order per panel of the last convolution
+
+# Gauss order per panel of the last convolution on the coarsest grid.  It
+# doubles with the grid, so that a tail the rule does not resolve (a
+# recovery much faster than the window) moves the Richardson error
+# estimate instead of hiding inside every level alike.
+_TAIL_ORDER = 24
 
 
 def _powers(d: np.ndarray, size: int) -> np.ndarray:
@@ -88,7 +95,7 @@ def _interpolate(table: np.ndarray, x: np.ndarray, grid: int) -> np.ndarray:
 
 def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
                   carries: Sequence[Optional[float]], span: Tuple[float, float],
-                  grid: int) -> np.ndarray:
+                  grid: int, order: int) -> np.ndarray:
     """[z^k] F_n in window units, shape (carries, n_max + 1, m_max), on one grid."""
     tm, prof = config.tau_m, config.efficiency
     b = (prof.breakpoint or 0.0) / tm
@@ -115,7 +122,7 @@ def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
             lead = np.maximum(t - (cum(c / tm + t) - cum(c / tm)), 0.0)
             table[i] = xi(c / tm + t)[:, None] * _powers(lead, m_max)
 
-    x, w = _gauss(_TAIL_ORDER)
+    x, w = _gauss(order)
     hx, hw = 0.5 * (x + 1.0), 0.5 * w
     out = np.zeros((len(carries), n_max + 1, m_max))
     for n in range(1, n_max + 1):
@@ -147,8 +154,10 @@ def serves(config: DetectorConfig, m_max: int) -> bool:
     """Whether ``fock_table`` covers this configuration and photon range.
 
     Tabulated modes are not shift-invariant.  A tabulated recovery curve
-    kinks at every knot, which the last convolution's Gauss rule (the same
-    on all three grids, so outside the error estimate) does not resolve.
+    kinks at every knot, which the last convolution's Gauss rule does not
+    resolve: for the exponential curve sampled at step 0.002 the estimate
+    of row 1 is 9e-7 (true error 5e-8), so its rows would fail the
+    tolerance test and the table would be work thrown away.
     """
     return (config.mode.kind == "monochromatic" and config.efficiency.kind != "tabulated"
             and m_max <= M_MAX)
@@ -182,7 +191,8 @@ def fock_table(config: DetectorConfig, n_max: int, m_max: int,
     if n_max >= 1:
         fact = np.array([math.factorial(m) for m in range(m_max + 1)], dtype=float)
         for level in range(3):
-            coef = _coefficients(config, n_max, m_max, carries, span, _GRID << level)
+            coef = _coefficients(config, n_max, m_max, carries, span,
+                                 _GRID << level, _TAIL_ORDER << level)
             for n in range(1, n_max + 1):
                 entries[level, :, n, n:] = fact[n:] * coef[:, n, :m_max - n + 1]
     coarse = (4.0 * entries[1] - entries[0]) / 3.0
