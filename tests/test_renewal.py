@@ -41,14 +41,14 @@ def _gauss_rows(config, n_top, m_max, spec, carry=None, last_click=None):
 def test_matches_nested_gauss(kind, tau_d, last_click):
     config = _config(kind, tau_d)
     top = min(5, config.max_clicks())
-    value, err = fock_table(config, top, 8, last_click=last_click)
+    value, _ = fock_table(config, top, 8, last_click=last_click)
     assert np.abs(value - _gauss_rows(config, top, 8, GAUSS, last_click=last_click)).max() < 1e-9
     block, block_err = fock_table(config, top, 8, carry=np.array(CARRIES),
                                   last_click=last_click)
     for c, row, row_err in zip(CARRIES, block, block_err):
         ref = _gauss_rows(config, top, 8, GAUSS, carry=c, last_click=last_click)
         assert np.abs(row - ref).max() < 1e-9
-        single, single_err = fock_table(config, top, 8, carry=c, last_click=last_click)
+        single, _ = fock_table(config, top, 8, carry=c, last_click=last_click)
         np.testing.assert_allclose(single, row, rtol=1e-13, atol=1e-16)
         assert np.all(row_err <= SPEC.rel_tol * np.abs(row) + SPEC.abs_tol)
 
