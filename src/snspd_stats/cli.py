@@ -32,7 +32,7 @@ from .continuous import CwConfig, click_distribution_cw
 from .detector import DetectorConfig, EfficiencyProfile, ModeProfile
 from .errors import ConsistencyError, DomainError, EstimationError, IntegrationError
 from .independent import (click_distribution_independent, cond_prob_matrix,
-                          deadtime_closed_form)
+                          deadtime_closed_form, resolve_n_max)
 from .montecarlo import SimSpec, empirical_distribution
 from .quadrature import QuadratureSpec
 from .reconstruct import (ReconstructionSpec, read_gaps, reconstruct_details,
@@ -173,8 +173,7 @@ def _cmd_matrix(args) -> int:
     spec = _build_spec(r)
     m_max = r["m_max"]
     if args.closed_form:
-        n_top = r["n_max"] if r["n_max"] is not None else min(
-            config.max_clicks() or m_max, m_max)
+        n_top = resolve_n_max(config, r["n_max"], m_max)
         entries = np.array([[deadtime_closed_form(config, n, m)
                              for m in range(m_max + 1)] for n in range(n_top + 1)])
         out = ConditionalMatrix(entries=entries, scenario="independent:closed-form",

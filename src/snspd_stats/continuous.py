@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -40,16 +40,14 @@ import numpy as np
 from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
 from .independent import (DEFAULT_SPEC, click_distribution_independent,
-                          coherent_row, cond_prob_matrix, fock_row, perm_rows,
-                          power_matrix, resolve_n_max)
+                          coherent_row, cond_prob_matrix, fock_row, number_table,
+                          reduced_spec, resolve_n_max)
 from .quadrature import QuadratureSpec, _gauss
 from .results import ClickDistribution, ConditionalMatrix
 from .states import PhotonNumberDist
-from .weights import no_count_exposure
 
 _TAU_NEAR_ORDER = 6      # Gauss order for the carry average over [0, tau_d]
 _TAU_FAR_ORDER = 10      # Gauss order for the carry average over [tau_d, Delta]
-_REDUCED_QMC = 8192      # sample budget for high-dimensional kernel rows
 
 
 @dataclass(frozen=True)
@@ -69,13 +67,13 @@ class CwConfig:
     def __post_init__(self):
         if self.delta is not None and not 0 < self.delta < math.inf:
             raise DomainError("delta must be positive and finite")
-        if self.window_count < 1:
-            raise DomainError("window_count must be at least 1")
+        if not isinstance(self.window_count, (int, np.integer)) or self.window_count < 1:
+            raise DomainError("window_count must be an integer of at least 1")
         if isinstance(self.memory_depth, str):
             if self.memory_depth != "geometric_limit":
                 raise DomainError("memory_depth must be an integer or 'geometric_limit'")
-        elif self.memory_depth < 1:
-            raise DomainError("memory_depth must be at least 1")
+        elif not isinstance(self.memory_depth, (int, np.integer)) or self.memory_depth < 1:
+            raise DomainError("memory_depth must be an integer of at least 1")
 
 
 def resolve_delta(config: DetectorConfig, cw: CwConfig) -> float:
@@ -130,18 +128,6 @@ class MemoryKernels:
         }
 
 
-def _kernel_spec(spec: QuadratureSpec, dims: int) -> QuadratureSpec:
-    """Spec for a kernel integral over ``dims`` free click times.
-
-    Up to five dimensions (nested Gauss under ``auto``) the spec is used as
-    given; beyond, the Sobol budget is cut to a sixteenth, at least
-    _REDUCED_QMC samples.
-    """
-    if dims <= 5:
-        return spec
-    return replace(spec, qmc_samples=max(_REDUCED_QMC, spec.qmc_samples // 16))
-
-
 def _carry_nodes(config: DetectorConfig, delta: float):
     """Gauss nodes and weights of the uniform average over [0, delta]."""
     td = config.efficiency.breakpoint or 0.0
@@ -156,42 +142,13 @@ def _carry_nodes(config: DetectorConfig, delta: float):
     return np.concatenate(nodes), np.concatenate(wts)
 
 
-def _carry_avg_rows(config: DetectorConfig, n: int, exps: np.ndarray,
-                    spec: QuadratureSpec, taus: np.ndarray, tws: np.ndarray,
-                    last_click=None) -> np.ndarray:
-    """Carry-conditioned row integrals averaged over the given tau nodes.
-
-    Carries at or beyond the dead time share one support plan, so their
-    integrands are evaluated jointly on shared quadrature nodes.  Shorter
-    carries shrink the support; they are integrated per node (the plain
-    Gauss ladder in low dimension, a tilted Sobol pass otherwise, which is
-    plenty for their 1/6 share of the average).
-    """
-    td = config.efficiency.breakpoint or 0.0
-    out = np.zeros(len(exps))
-    method = spec.resolve_method(n)
-    near = taus < td if method == "nested_gauss" else np.zeros(len(taus), bool)
-    for tau, wt in zip(taus[near], tws[near]):
-        # per-node rows leave nested Gauss one dimension early
-        use = spec if n <= 4 else _kernel_spec(replace(spec, method="qmc_sobol"), n + 1)
-        out += wt * fock_row(config, n, exps, use, carry=float(tau),
-                             last_click=last_click)
-    far_t, far_w = taus[~near], tws[~near]
-    block = max(1, 64 // max(1, len(exps)))
-    use = _kernel_spec(spec, n)
-    for b0 in range(0, len(far_t), block):
-        out += far_w[b0:b0 + block] @ fock_row(
-            config, n, exps, use, carry=far_t[b0:b0 + block], last_click=last_click)
-    return out
-
-
 def coherent_click_probability_after_gap(config: DetectorConfig, n: int,
                                          alpha_sq: float, carry: float,
                                          spec: QuadratureSpec = DEFAULT_SPEC,
                                          ) -> float:
     """Probability of n clicks given a click ``carry`` before the window start."""
-    if carry < 0:
-        raise DomainError("carry gap must be nonnegative")
+    if not 0 <= carry < math.inf:
+        raise DomainError("carry gap must be finite and nonnegative")
     return coherent_row(config, n, config.effective_mean(alpha_sq), spec, carry=carry)
 
 
@@ -209,53 +166,38 @@ def carryover_matrix(config: DetectorConfig, cw: CwConfig,
                                  config=out.config, meta=out.meta)
     delta = resolve_delta(config, cw)
     n_max = resolve_n_max(config, n_max, m_max)
-    taus, tws = _carry_nodes(config, delta)
-
-    entries, provenance = perm_rows(
-        config, n_max, m_max, spec,
-        lambda n, exps: _carry_avg_rows(config, n, exps, spec, taus, tws), carries=(taus, tws))
-    expo0 = np.asarray(no_count_exposure(config, taus))
-    entries[0, :] = tws @ power_matrix(1.0 - expo0, np.arange(m_max + 1))
+    entries, provenance = number_table(config, n_max, m_max, spec,
+                                       carries=_carry_nodes(config, delta))
     entries = np.clip(entries, 0.0, 1.0)
     return ConditionalMatrix(entries=entries, scenario="cw:carry-averaged",
                              config=config.to_json_dict(),
                              meta={"delta": delta, "seed": spec.seed, **provenance})
 
 
-def _tail_mass(config: DetectorConfig, m_max: int, delta: float,
-               spec: QuadratureSpec, carry_nodes=None) -> np.ndarray:
-    """P(last click within ``delta`` of the window end | m photons), per m.
-
-    ``carry_nodes`` (taus, weights) averages the probability over a
-    distributed carry-in; without it the window starts fresh.
-    """
-    last_click = (config.tau_m - delta, config.tau_m)
-
-    def row(n, exps):
-        if carry_nodes is not None:
-            return _carry_avg_rows(config, n, exps, spec, *carry_nodes,
-                                   last_click=last_click)
-        return fock_row(config, n, exps, _kernel_spec(spec, n), last_click=last_click)
-
-    entries, _ = perm_rows(config, resolve_n_max(config, None, m_max), m_max, spec, row,
-                           carries=carry_nodes, last_click=last_click)
-    return entries.sum(axis=0)
-
-
 def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,
                    spec: QuadratureSpec = DEFAULT_SPEC) -> MemoryKernels:
-    """Memory coefficients a_m, b_m, c_m plus the carry-averaged matrix."""
+    """Memory coefficients a_m, b_m, c_m plus the carry-averaged matrix.
+
+    ``meta`` records the ``engines`` and ``renewal_err`` of the a and b tables.
+    """
     delta = resolve_delta(config, cw)
     d_matrix = carryover_matrix(config, cw, m_max=m_max, spec=spec)
-    a = 1.0 - _tail_mass(config, m_max, delta, spec)
     if config.efficiency.kind == "ideal":
-        b = a.copy()  # conditioning has no effect without memory
+        # no memory: the last Delta is click-free when no photon arrives in it
+        before = float(config.mode.cumulative(0.0, config.tau_m - delta, config.tau_m))
+        a = before ** np.arange(m_max + 1)
+        b = a.copy()
+        meta_a = meta_b = {"engines": ["closed_form"] * (m_max + 1), "renewal_err": None}
     else:
-        taus, tws = _carry_nodes(config, delta)
-        b = 1.0 - _tail_mass(config, m_max, delta, spec, carry_nodes=(taus, tws))
-    c = a - b
-    return MemoryKernels(a_m=a, b_m=b, c_m=c, d_matrix=d_matrix, delta=delta,
-                         meta={"seed": spec.seed})
+        n_max = resolve_n_max(config, None, m_max)
+        last_click = (config.tau_m - delta, config.tau_m)
+        fresh, meta_a = number_table(config, n_max, m_max, spec, last_click=last_click)
+        carried, meta_b = number_table(config, n_max, m_max, spec, last_click=last_click,
+                                       carries=_carry_nodes(config, delta))
+        a, b = 1.0 - fresh.sum(axis=0), 1.0 - carried.sum(axis=0)
+    meta = {key: {"a": meta_a[key], "b": meta_b[key]} for key in ("engines", "renewal_err")}
+    return MemoryKernels(a_m=a, b_m=b, c_m=a - b, d_matrix=d_matrix, delta=delta,
+                         meta={"seed": spec.seed, **meta})
 
 
 def memory_probability_q(kernels: MemoryKernels,
@@ -345,6 +287,16 @@ def click_distribution_cw(state: PhotonNumberDist, config: DetectorConfig,
               "memory_depth": str(cw.memory_depth), "q": q, "seed": spec.seed})
 
 
+def _offsets(config: DetectorConfig, tau, carry: Optional[float]) -> np.ndarray:
+    """Last-click offsets as a 1-D array, checked together with the carry gap."""
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if not np.all((taus >= 0) & (taus <= config.tau_m)):
+        raise DomainError("offset must lie in [0, tau_m]")
+    if carry is not None and not 0 <= carry < math.inf:
+        raise DomainError("carry gap must be finite and nonnegative")
+    return taus
+
+
 def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
                        spec: QuadratureSpec = DEFAULT_SPEC,
                        carry: Optional[float] = None,
@@ -357,9 +309,7 @@ def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
     click before its start.
     """
     a = config.effective_mean(alpha_sq)
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(taus < 0) or np.any(taus > config.tau_m):
-        raise DomainError("offset must lie in [0, tau_m]")
+    taus = _offsets(config, tau, carry)
     if config.efficiency.kind == "ideal" and carry is None:
         # memoryless case in closed form: a pin with nothing detected after it
         t_pins = config.tau_m - taus
@@ -374,7 +324,7 @@ def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
     for j, t in enumerate(taus):
         total = 0.0
         for n in range(1, n_cut + 1):
-            term = coherent_row(config, n, a, _kernel_spec(spec, n - 1), carry=carry,
+            term = coherent_row(config, n, a, reduced_spec(spec, n - 1), carry=carry,
                                 last_click=config.tau_m - float(t))
             total += term
             if n > a and term < 1e-9 * max(total, 1e-300):
@@ -394,16 +344,14 @@ def last_click_density_fock(config: DetectorConfig, m: int, tau,
     """
     if m < 0:
         raise DomainError("photon number must be nonnegative")
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(taus < 0) or np.any(taus > config.tau_m):
-        raise DomainError("offset must lie in [0, tau_m]")
+    taus = _offsets(config, tau, carry)
     cap = config.max_clicks()
     n_rows = m if cap is None else min(cap, m)
     out = np.zeros(len(taus))
     for j, t in enumerate(taus):
         total = 0.0
         for n in range(1, n_rows + 1):
-            row = fock_row(config, n, np.array([m - n]), _kernel_spec(spec, n - 1),
+            row = fock_row(config, n, np.array([m - n]), reduced_spec(spec, n - 1),
                            carry=carry, last_click=config.tau_m - float(t))
             total += math.perm(m, n) * float(row[0])
         out[j] = total

@@ -319,8 +319,8 @@ class DetectorConfig:
 
     def effective_mean(self, x: float) -> float:
         """Replace a mean photon number x by eta*x + nu."""
-        if x < 0:
-            raise DomainError("mean photon number must be nonnegative")
+        if not 0 <= x < math.inf:
+            raise DomainError(f"mean photon number must be finite and nonnegative, got {x}")
         return self.eta * x + self.nu
 
     @property

@@ -25,6 +25,7 @@ used both as a fast path and as an independent check on the quadrature.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -41,6 +42,7 @@ from .weights import no_count_exposure, window_integral
 DEFAULT_SPEC = QuadratureSpec()
 
 _EXPOSURE_RAISE = 1e-9  # exposure above 1 by more than this is a hard error
+_REDUCED_QMC = 8192      # Sobol budget floor for carried or restricted rows
 
 
 def power_matrix(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -79,23 +81,66 @@ def resolve_n_max(config: DetectorConfig, n_max: Optional[int], m_max: int) -> i
     if n_max is None:
         cap = config.max_clicks()
         n_max = m_max if cap is None else min(cap, m_max)
-    if m_max < n_max:
-        raise DomainError("m_max must be at least n_max")
+    if not 0 <= n_max <= m_max:
+        raise DomainError(f"need 0 <= n_max <= m_max, got n_max={n_max}, m_max={m_max}")
     return n_max
 
 
-def perm_rows(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
-              row, carries=None, last_click=None):
-    """(n_max+1, m_max+1) table with row n = m!/(m-n)! * row(n, m - n) for m >= n.
+def reduced_spec(spec: QuadratureSpec, dims: int) -> QuadratureSpec:
+    """Spec for a carried or last-click-restricted integral over ``dims`` click times.
 
-    ``row(n, exps)`` gives the support integrals for exponents exps = m - n
-    of a window entered with the carry average ``carries`` (taus, weights),
-    fresh when None, and with the n-th click restricted to ``last_click``.
-    Under ``spec.method == "auto"`` a row comes from ``renewal.fock_table``
-    for the same window when the engine serves the configuration and every
-    entry of the row meets ``spec``'s tolerance against its error
-    estimate.  Other rows n = 1..n_max are computed independently (threaded
-    when configured); row 0 and rows above the click cap stay zero.
+    Up to five dimensions (nested Gauss under ``auto``) the spec is used as
+    given; beyond, the Sobol budget is cut to a sixteenth, at least
+    _REDUCED_QMC samples.
+    """
+    if dims <= 5:
+        return spec
+    return replace(spec, qmc_samples=max(_REDUCED_QMC, spec.qmc_samples // 16))
+
+
+def _quadrature_row(config: DetectorConfig, n: int, exps: np.ndarray,
+                    spec: QuadratureSpec, carries, last_click) -> np.ndarray:
+    """Support integrals of row n for exponents ``exps``, averaged over ``carries``.
+
+    Carries at or beyond the dead time share one support plan, so their
+    integrands are evaluated jointly on shared quadrature nodes.  Shorter
+    carries shrink the support; they are integrated per node (the plain
+    Gauss ladder in low dimension, a tilted Sobol pass otherwise, which is
+    plenty for their 1/6 share of the average).
+    """
+    if carries is None:
+        use = spec if last_click is None else reduced_spec(spec, n)
+        return fock_row(config, n, exps, use, last_click=last_click)
+    taus, tws = carries
+    td = config.efficiency.breakpoint or 0.0
+    out = np.zeros(len(exps))
+    near = taus < td if spec.resolve_method(n) == "nested_gauss" else np.zeros(len(taus), bool)
+    for tau, wt in zip(taus[near], tws[near]):
+        # per-node rows leave nested Gauss one dimension early
+        use = spec if n <= 4 else reduced_spec(replace(spec, method="qmc_sobol"), n + 1)
+        out += wt * fock_row(config, n, exps, use, carry=float(tau), last_click=last_click)
+    far_t, far_w = taus[~near], tws[~near]
+    block = max(1, 64 // max(1, len(exps)))
+    use = reduced_spec(spec, n)
+    for b0 in range(0, len(far_t), block):
+        out += far_w[b0:b0 + block] @ fock_row(
+            config, n, exps, use, carry=far_t[b0:b0 + block], last_click=last_click)
+    return out
+
+
+def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
+                 carries=None, last_click=None):
+    """Number-basis table P(n|m), shape (n_max+1, m_max+1), of one window.
+
+    The window is entered with the carry average ``carries`` (taus,
+    weights), fresh when None; ``last_click`` (lo, hi) restricts its n-th
+    click.  Under ``spec.method == "auto"`` a row comes from ``renewal.fock_table``
+    when the engine serves the configuration and every entry of the row
+    meets ``spec``'s tolerance against its error estimate.  Other rows
+    n = 1..n_max are integrated independently (threaded when configured),
+    at the ``reduced_spec`` budget when the window is carried or
+    restricted.  Row 0 holds the no-click probability, zero under a
+    last-click range; rows above the click cap stay zero.
 
     Returns ``(entries, meta)``; meta records the requested ``method``,
     the ``engines`` of rows 0..n_max ("closed_form" for the zero-click row
@@ -106,9 +151,14 @@ def perm_rows(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSp
     cap = config.max_clicks()
     top = n_max if cap is None else min(cap, n_max)
     entries = np.zeros((n_max + 1, m_max + 1))
+    taus, tws = (None, None) if carries is None else carries
+    if last_click is None and carries is None:
+        entries[0, 0] = 1.0
+    elif last_click is None:
+        expo0 = np.asarray(no_count_exposure(config, taus))
+        entries[0, :] = tws @ power_matrix(1.0 - expo0, np.arange(m_max + 1))
     done, renewal_err = {}, None
     if spec.method == "auto" and top >= 1 and renewal.serves(config, m_max):
-        taus, tws = (None, None) if carries is None else carries
         value, err = renewal.fock_table(config, top, m_max, carry=taus,
                                         last_click=last_click)
         if tws is not None:
@@ -121,7 +171,7 @@ def perm_rows(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSp
     def compute_row(n):
         ms = np.arange(n, m_max + 1)
         perm = np.array([math.perm(int(m), n) for m in ms], dtype=float)
-        return perm * row(n, ms - n)
+        return perm * _quadrature_row(config, n, ms - n, spec, carries, last_click)
 
     engines = ["closed_form"] * (n_max + 1)
     for n in range(1, top + 1):
@@ -184,9 +234,7 @@ def cond_prob_matrix(config: DetectorConfig, n_max: Optional[int] = None,
         scenario = "independent:pnr"
         provenance = {"engines": ["closed_form"] * (n_max + 1), "renewal_err": None}
     else:
-        entries, provenance = perm_rows(config, n_max, m_max, spec,
-                                        lambda n, exps: fock_row(config, n, exps, spec))
-        entries[0, 0] = 1.0  # zero clicks from zero photons, never from more
+        entries, provenance = number_table(config, n_max, m_max, spec)
         scenario = "independent"
 
     entries = np.clip(entries, 0.0, 1.0)
@@ -207,6 +255,8 @@ def regular_irregular_split(config: DetectorConfig, n: int, m: int,
     """
     if config.mode.kind != "monochromatic":
         raise DomainError("regular/irregular split requires a monochromatic mode")
+    if n < 0 or m < 0:
+        raise DomainError("n and m must be nonnegative")
     if config.efficiency.kind == "ideal":
         return (1.0 if n == m else 0.0), 0.0
     if config.efficiency.breakpoint is None:

@@ -1,9 +1,10 @@
 """Optional thread dispatch for independent work items.
 
-Matrix rows and kernel entries are independent; when SNSPD_THREADS is set
-above 1 they are computed on a thread pool (numpy releases the GIL for the
-heavy array work) and collected in index order, so results are identical
-to the serial path.
+Quadrature-fallback rows of a number table and the click numbers of the
+squeezed direct route are independent; when SNSPD_THREADS is set above 1
+they run on a thread pool (numpy releases the GIL for the heavy array
+work) and are collected in index order, so results are identical to the
+serial path.  Renewal rows come from one pass and never reach the pool.
 """
 
 from __future__ import annotations

@@ -127,6 +127,11 @@ def test_usage_errors(tmp_path):
     # closed form demands a zero relaxation time
     assert main(["matrix", "--profile", "exp", "--m-max", "2", "--closed-form"]) == 2
     assert main(["cw", "--profile", "exp", "--state", "fock:1", "--delta", "nan"]) == 2
+    # negative sizes, and more click rows than photons, on both matrix routes
+    assert main(["matrix", "--profile", "exp", "--m-max", "-1"]) == 2
+    assert main(["matrix", "--profile", "deadtime", "--m-max", "-1", "--closed-form"]) == 2
+    assert main(["matrix", "--profile", "deadtime", "--n-max", "7", "--m-max", "4",
+                 "--closed-form"]) == 2
     gaps = tmp_path / "gaps.f64"
     np.array([0.1, 0.2, 0.35]).astype("<f8").tofile(gaps)
     for flags in (["--bin-width", "nan"], ["--t-max", "inf"], ["--rate-hint", "nan"],

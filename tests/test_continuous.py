@@ -12,7 +12,7 @@ from snspd_stats import (ConsistencyError, CwConfig, DetectorConfig, ModeProfile
                          last_click_density, last_click_density_fock,
                          memory_kernels, memory_probability_q, no_count_exposure,
                          photon_number_dist, resolve_delta)
-from snspd_stats.independent import fock_row
+from snspd_stats.independent import fock_row, regular_irregular_split
 from snspd_stats.quadrature import _gauss
 from snspd_stats.results import ConditionalMatrix
 
@@ -102,9 +102,12 @@ class TestMemoryKernels:
                               exp_kernels.a_m - exp_kernels.b_m)
 
     def test_ideal_memoryless(self):
-        kern = memory_kernels(IDEAL, CW, m_max=4, spec=SPEC)
+        kern = memory_kernels(IDEAL, CW, m_max=20, spec=SPEC)
         assert np.all(kern.c_m == 0.0)
         assert np.array_equal(kern.a_m, kern.b_m)
+        # every photon has to arrive before the last Delta
+        ref = (1.0 - CW.delta / IDEAL.tau_m) ** np.arange(21)
+        assert np.abs(kern.a_m - ref).max() <= 1e-15
 
     def test_fresh_kernel_against_pinned_density(self, exp_kernels):
         # independent route: integrate the last-click density over the
@@ -252,6 +255,14 @@ class TestLastClickDensity:
     def test_offset_domain_checked(self):
         with pytest.raises(DomainError):
             last_click_density(EXP, 4.0, 1.2, SPEC)
+        for density, arg in ((last_click_density, 4.0), (last_click_density_fock, 3)):
+            with pytest.raises(DomainError):
+                density(EXP, arg, math.nan, SPEC)
+            with pytest.raises(DomainError):
+                density(EXP, arg, 0.2, SPEC, carry=-0.1)
+        # the split is by the last click's time, and needs a click number
+        with pytest.raises(DomainError):
+            regular_irregular_split(EXP, -1, 2, SPEC)
 
 
 class TestDeltaResolution:
@@ -273,6 +284,8 @@ class TestDeltaResolution:
             CwConfig(window_count=0)
         with pytest.raises(DomainError):
             CwConfig(memory_depth="sometimes")
+        with pytest.raises(DomainError):
+            CwConfig(memory_depth=2.5)
         with pytest.raises(DomainError):
             resolve_delta(EXP, CwConfig(delta=1.5))
 

@@ -5,7 +5,8 @@ import pytest
 from scipy import integrate
 
 from snspd_stats import (CwConfig, DetectorConfig, DomainError, EfficiencyProfile,
-                         ModeProfile, QuadratureSpec, StateSpec)
+                         ModeProfile, QuadratureSpec, StateSpec,
+                         coherent_click_probability_after_gap)
 
 
 class TestEfficiencyProfile:
@@ -187,12 +188,17 @@ class TestDetectorConfig:
     lambda x: QuadratureSpec(rel_tol=x),
     lambda x: QuadratureSpec(abs_tol=x),
     lambda x: CwConfig(delta=x),
+    lambda x: CwConfig(window_count=x),
+    lambda x: CwConfig(memory_depth=x),
+    lambda x: DetectorConfig(tau_m=1.0).effective_mean(x),
+    lambda x: coherent_click_probability_after_gap(DetectorConfig(tau_m=1.0), 1, 1.0, x),
     lambda x: StateSpec.coherent(x),
     lambda x: EfficiencyProfile.tabulated([(0.0, 0.1), (x, 0.5), (1.0, 1.0)]),
     lambda x: EfficiencyProfile.tabulated([(0.0, 0.1), (0.5, x), (1.0, 1.0)]),
     lambda x: ModeProfile.tabulated([(0.0, 1.0), (x, 1.0), (1.0, 1.0)]),
     lambda x: ModeProfile.tabulated([(0.0, 1.0), (0.5, x), (1.0, 1.0)]),
-], ids=["tau_m", "nu", "tau_d", "tau_r", "rel_tol", "abs_tol", "delta", "coherent",
+], ids=["tau_m", "nu", "tau_d", "tau_r", "rel_tol", "abs_tol", "delta", "window_count",
+        "memory_depth", "effective_mean", "after_gap_carry", "coherent",
         "profile_knot_t", "profile_knot_xi", "mode_knot_t", "mode_knot_i"])
 def test_non_finite_inputs_rejected(build, bad):
     with pytest.raises(DomainError):

@@ -91,6 +91,8 @@ class TestConditionalMatrix:
     def test_m_max_below_n_max_rejected(self):
         with pytest.raises(DomainError):
             cond_prob_matrix(EXP, n_max=5, m_max=3, spec=SPEC)
+        with pytest.raises(DomainError):
+            cond_prob_matrix(EXP, m_max=-1, spec=SPEC)
 
     def test_serialization_embeds_digest(self):
         M = cond_prob_matrix(DT, m_max=2, spec=SPEC)

@@ -7,8 +7,9 @@ import pytest
 from snspd_stats import (CwConfig, DetectorConfig, DomainError, EfficiencyProfile,
                          ModeProfile, QuadratureSpec, carryover_matrix,
                          cond_prob_matrix)
-from snspd_stats.continuous import _carry_nodes, resolve_delta
-from snspd_stats.independent import deadtime_closed_form, fock_row, same_count_probability
+from snspd_stats.continuous import _carry_nodes, memory_kernels, resolve_delta
+from snspd_stats.independent import (deadtime_closed_form, fock_row, number_table,
+                                     same_count_probability)
 from snspd_stats.renewal import M_MAX, fock_table
 
 SPEC = QuadratureSpec()
@@ -134,6 +135,22 @@ def test_carryover_records_engines():
     assert mat.meta["method"] == "auto"
     assert mat.meta["engines"] == ["closed_form"] + ["renewal"] * 6
     assert mat.meta["renewal_err"] < 1e-8
+
+
+def test_kernel_meta_records_both_tables():
+    cw = CwConfig(delta=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kern = memory_kernels(EXP, cw, m_max=6, spec=SPEC)
+    last_click = (1.0 - cw.delta, 1.0)
+    _, fresh = number_table(EXP, 6, 6, SPEC, last_click=last_click)
+    _, carried = number_table(EXP, 6, 6, SPEC, last_click=last_click,
+                              carries=_carry_nodes(EXP, cw.delta))
+    assert kern.meta["seed"] == SPEC.seed
+    assert kern.meta["engines"] == {"a": fresh["engines"], "b": carried["engines"]}
+    assert kern.meta["engines"]["b"] == ["closed_form"] + ["renewal"] * 6
+    assert kern.meta["renewal_err"] == {"a": fresh["renewal_err"], "b": carried["renewal_err"]}
+    assert 0.0 < kern.meta["renewal_err"]["b"] < 1e-8
 
 
 def test_dead_time_carryover_matches_exact_mixture():
