@@ -40,8 +40,8 @@ import numpy as np
 from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
 from .independent import (DEFAULT_SPEC, click_distribution_independent,
-                          coherent_row, cond_prob_matrix, fock_row, number_table,
-                          reduced_spec, resolve_n_max)
+                          coherent_integral, coherent_row, coherent_rows, cond_prob_matrix,
+                          fock_row, number_table, reduced_spec, resolve_n_max)
 from .quadrature import QuadratureSpec, _gauss
 from .results import ClickDistribution, ConditionalMatrix
 from .states import PhotonNumberDist
@@ -164,7 +164,12 @@ def carryover_matrix(config: DetectorConfig, cw: CwConfig,
         out = cond_prob_matrix(config, n_max=n_max, m_max=m_max, spec=spec)
         return ConditionalMatrix(entries=out.entries, scenario="cw:carry-averaged",
                                  config=out.config, meta=out.meta)
-    delta = resolve_delta(config, cw)
+    return _carried_matrix(config, resolve_delta(config, cw), n_max, m_max, spec)
+
+
+def _carried_matrix(config: DetectorConfig, delta: float, n_max: Optional[int],
+                    m_max: int, spec: QuadratureSpec) -> ConditionalMatrix:
+    """``carryover_matrix`` of a non-ideal profile at a resolved Delta."""
     n_max = resolve_n_max(config, n_max, m_max)
     entries, provenance = number_table(config, n_max, m_max, spec,
                                        carries=_carry_nodes(config, delta))
@@ -180,15 +185,16 @@ def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,
 
     ``meta`` records the ``engines`` and ``renewal_err`` of the a and b tables.
     """
-    delta = resolve_delta(config, cw)
-    d_matrix = carryover_matrix(config, cw, m_max=m_max, spec=spec)
+    delta = resolve_delta(config, cw)  # resolved once, so an unrecovered Delta warns once
     if config.efficiency.kind == "ideal":
+        d_matrix = carryover_matrix(config, cw, m_max=m_max, spec=spec)
         # no memory: the last Delta is click-free when no photon arrives in it
         before = float(config.mode.cumulative(0.0, config.tau_m - delta, config.tau_m))
         a = before ** np.arange(m_max + 1)
         b = a.copy()
         meta_a = meta_b = {"engines": ["closed_form"] * (m_max + 1), "renewal_err": None}
     else:
+        d_matrix = _carried_matrix(config, delta, None, m_max, spec)
         n_max = resolve_n_max(config, None, m_max)
         last_click = (config.tau_m - delta, config.tau_m)
         fresh, meta_a = number_table(config, n_max, m_max, spec, last_click=last_click)
@@ -306,7 +312,9 @@ def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
     Together with the no-click weight this normalizes to one over a window:
     exp(-a) plus the integral of the density over [0, tau_m] equals 1.
     Accepts an array of offsets.  ``carry`` conditions the window on a
-    click before its start.
+    click before its start.  One fixed-mean chain gives the rows it serves
+    at every offset (``coherent_rows``); the other rows are integrated per
+    offset.
     """
     a = config.effective_mean(alpha_sq)
     taus = _offsets(config, tau, carry)
@@ -320,12 +328,17 @@ def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
     cap = config.max_clicks()
     if n_cut is None:
         n_cut = cap if cap is not None else int(a + 12 * math.sqrt(a + 1) + 10)
+    pins = config.tau_m - taus
+    served = coherent_rows(config, n_cut, a, spec, carry=carry, last_click=pins)
     out = np.zeros(len(taus))
-    for j, t in enumerate(taus):
+    for j, pin in enumerate(pins):
         total = 0.0
         for n in range(1, n_cut + 1):
-            term = coherent_row(config, n, a, reduced_spec(spec, n - 1), carry=carry,
-                                last_click=config.tau_m - float(t))
+            if n in served:
+                term = float(served[n][j])
+            else:
+                term = coherent_integral(config, n, a, reduced_spec(spec, n - 1),
+                                         carry=carry, last_click=float(pin))
             total += term
             if n > a and term < 1e-9 * max(total, 1e-300):
                 break

@@ -163,7 +163,7 @@ def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratur
                                         last_click=last_click)
         if tws is not None:
             value, err = np.tensordot(tws, value, 1), np.tensordot(tws, err, 1)
-        ok = np.all(err <= spec.rel_tol * np.abs(value) + spec.abs_tol, axis=1)
+        ok = np.all(spec.accepts(value, err), axis=1)
         done = {n: value[n, n:] for n in range(1, top + 1) if ok[n]}
         if done:
             renewal_err = float(max(err[n].max() for n in done))
@@ -190,14 +190,45 @@ def poisson_weight(n: int, a: float) -> float:
     return math.exp(n * math.log(a) - a - math.lgamma(n + 1))
 
 
+def coherent_rows(config: DetectorConfig, n_max: int, a: float, spec: QuadratureSpec,
+                  carry=None, last_click=None) -> dict:
+    """Rows n = 1..n_max of ``renewal.coherent_table`` that meet ``spec``'s tolerance.
+
+    Under ``spec.method == "auto"``, when the engine serves the
+    configuration, row n is taken if every one of its values passes
+    ``spec.accepts``, as in ``number_table``.
+    ``last_click`` is None or the pinned time(s) of the n-th click.
+    Returns ``{n: value}`` (a float, or an array over the pinned times);
+    empty when the chain is not used.
+    """
+    if spec.method != "auto" or n_max < 1 or not renewal.serves(config):
+        return {}
+    value, err = renewal.coherent_table(config, n_max, a, carry=carry, last_click=last_click)
+    ok = spec.accepts(value, err)
+    return {n: value[n] for n in range(1, n_max + 1) if np.all(ok[n])}
+
+
+def coherent_integral(config: DetectorConfig, n: int, a: float, spec: QuadratureSpec,
+                      carry=None, last_click=None) -> float:
+    """a^n times ``window_integral`` of density * exp(-a * exposure) over n >= 1 clicks.
+
+    ``carry`` and ``last_click`` are passed on to ``window_integral``.
+    """
+    val, _ = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
+                             spec, carry=carry, last_click=last_click)
+    return a**n * float(val)
+
+
 def coherent_row(config: DetectorConfig, n: int, a: float, spec: QuadratureSpec,
                  carry=None, last_click=None) -> float:
     """a^n times the integral of density * exp(-a * exposure) over n clicks.
 
     This is the n-click probability at effective mean a, or with a float
     ``last_click`` its density in the time of the n-th click; ``carry``
-    and ``last_click`` are passed on to ``window_integral``.  Without a
-    pinned click an ideal profile gives the Poisson weight.
+    conditions the window on a click that long before its start.  Without
+    a pinned click an ideal profile gives the Poisson weight.  Other rows
+    n >= 1 come from ``coherent_rows`` when it serves them (the chain runs
+    up to n) and from ``coherent_integral`` otherwise.
     """
     if n < 0:
         raise DomainError("click number must be nonnegative")
@@ -205,9 +236,10 @@ def coherent_row(config: DetectorConfig, n: int, a: float, spec: QuadratureSpec,
         return poisson_weight(n, a)
     if n == 0:
         return math.exp(-a if carry is None else -a * float(no_count_exposure(config, carry)))
-    val, _ = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
-                             spec, carry=carry, last_click=last_click)
-    return a**n * float(val)
+    served = coherent_rows(config, n, a, spec, carry=carry, last_click=last_click)
+    if n in served:
+        return float(served[n])
+    return coherent_integral(config, n, a, spec, carry=carry, last_click=last_click)
 
 
 def coherent_click_probability(config: DetectorConfig, n: int, alpha_sq: float,

@@ -66,6 +66,10 @@ class QuadratureSpec:
         if self.qmc_samples < 1 << 10:
             raise DomainError("qmc_samples must be at least 2**10")
 
+    def accepts(self, value, err) -> np.ndarray:
+        """Elementwise test of an error estimate: err <= rel_tol * |value| + abs_tol."""
+        return np.asarray(err) <= self.rel_tol * np.abs(np.asarray(value)) + self.abs_tol
+
     def resolve_method(self, n: int) -> str:
         if self.method == "auto":
             return "nested_gauss" if n <= 5 else "qmc_sobol"
@@ -317,7 +321,7 @@ def integrate_ordered(
             nxt = _nested_pass(wrapped, n, order, panels, first_offset, lower_gap)
             err = np.abs(np.asarray(nxt) - np.asarray(value))
             value = nxt
-            if np.all(err <= spec.rel_tol * np.abs(np.asarray(value)) + spec.abs_tol):
+            if np.all(spec.accepts(value, err)):
                 break
     else:
         n_rep = 1 << max(10, int(round(math.log2(max(spec.qmc_samples, 1024) / _QMC_REPLICATES))))

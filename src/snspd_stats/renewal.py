@@ -1,4 +1,4 @@
-"""Renewal-convolution engine for number-basis tables of a monochromatic mode.
+"""Renewal-convolution engine for number-basis and coherent rows of a monochromatic mode.
 
 With a monochromatic mode every factor of the number-basis integrand
 depends on a single inter-click gap.  Write D(g) = g - C(g) >= 0, with C
@@ -28,12 +28,17 @@ is.  Convolutions are trapezoid sums taken by FFT; the last one, against
 the tail factor that kinks at s = b, is a Gauss rule split there, with the
 chained table read off a local interpolant.  Tables at three grid sizes
 give a Richardson value and an error estimate.
+
+At a fixed mean a, coherent light needs no z-series: e^(-a exposure)
+factors into one number per gap and for the tail, so the same chain with
+scalar factors gives the coherent rows and, before its last step, the
+density of the n-th click at every time (``coherent_table``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,20 +90,17 @@ def _interpolate(table: np.ndarray, x: np.ndarray, grid: int) -> np.ndarray:
     start = np.clip(np.floor(pos).astype(int) - _LAGRANGE // 2 + 1, 0, grid + 1 - _LAGRANGE)
     r = pos - start
     nodes = np.arange(_LAGRANGE)
-    wts = np.ones(x.shape + (_LAGRANGE,))
-    for j in nodes:
-        for i in nodes[nodes != j]:
-            wts[..., j] *= (r - i) / (j - i)
+    # factor (j, i) of Lagrange weight j: (r - i)/(j - i), and 1 at i = j
+    same = nodes[:, None] == nodes
+    factors = (r[..., None, None] - nodes) / np.where(same, 1, nodes[:, None] - nodes)
+    wts = np.where(same, 1.0, factors).prod(axis=-1)
     rows = table[np.arange(table.shape[0])[:, None, None], start[..., None] + nodes]
     return np.einsum("cpj,cpjk->cpk", wts, rows)
 
 
-def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
-                  carries: Sequence[Optional[float]], span: Tuple[float, float],
-                  grid: int, order: int) -> np.ndarray:
-    """[z^k] F_n in window units, shape (carries, n_max + 1, m_max), on one grid."""
+def _scaled(config: DetectorConfig):
+    """Dead time, efficiency and cumulative recovery in window units."""
     tm, prof = config.tau_m, config.efficiency
-    b = (prof.breakpoint or 0.0) / tm
 
     def xi(x):
         return prof.value(tm * x)
@@ -106,52 +108,118 @@ def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
     def cum(x):
         return prof.cumulative(tm * x) / tm
 
+    return (prof.breakpoint or 0.0) / tm, xi, cum
+
+
+def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
+           weight: Callable, click: float, n_max: int, grid: int):
+    """Chained weight of the n-th click on one grid, for n = 1..n_max.
+
+    ``weight(elapsed, exposed)`` is a factor's weight for a stretch of
+    ``elapsed`` window time of which ``exposed`` was detectable, with the
+    z-series coefficients (or a single value) on a new last axis.  Each
+    click adds ``click`` times the efficiency at its gap.  The first
+    stretch starts at the window start, fully detectable when fresh, or
+    under the recovery from a click ``carry`` earlier.
+
+    Yields ``(n, length, table)``: table[c, j] belongs to the n-th click at
+    1 - length[c] + j/grid, so the grid starts at the click's earliest time
+    and ``length`` is what remains of the window.  A table keeps
+    max(1, K - n + 1) coefficients: all a series row n needs, or its one
+    value.
+    """
+    tm = config.tau_m
+    b, xi, cum = _scaled(config)
     h = 1.0 / grid
     u = np.arange(grid + 1) * h
     size = 1 << (2 * (grid + 1) - 1).bit_length()  # FFT length: linear convolution
-    psi = xi(b + u)[:, None] * _powers(np.maximum(b + u - cum(b + u), 0.0), m_max)
+    psi = click * xi(b + u)[:, None] * weight(b + u, cum(b + u))
     psi_hat = np.fft.rfft(psi, size, axis=0)
 
     offsets = np.array([0.0 if c is None else max(0.0, b - c / tm) for c in carries])
-    table = np.zeros((len(carries), grid + 1, m_max))
-    for i, c in enumerate(carries):
-        if c is None:
-            table[i, :, 0] = 1.0
-        else:
-            t = offsets[i] + u
-            lead = np.maximum(t - (cum(c / tm + t) - cum(c / tm)), 0.0)
-            table[i] = xi(c / tm + t)[:, None] * _powers(lead, m_max)
-
-    x, w = _gauss(order)
-    hx, hw = 0.5 * (x + 1.0), 0.5 * w
-    out = np.zeros((len(carries), n_max + 1, m_max))
+    table = np.stack([click * weight(u, u) if c is None else
+                      click * xi(c / tm + t)[:, None] * weight(t, cum(c / tm + t) - cum(c / tm))
+                      for c, t in zip(carries, offsets[:, None] + u)])
     for n in range(1, n_max + 1):
-        k = m_max - n + 1  # coefficients row n still needs
-        length = 1.0 - offsets - (n - 1) * b
-        lo = np.full(len(carries), max(0.0, span[0]))
-        hi = np.minimum(length, span[1])
-        if np.all(hi <= lo):
-            break  # every later row is past the click cap
-        mid = np.clip(b, lo, np.maximum(lo, hi))
-        s = np.concatenate([lo[:, None] + (mid - lo)[:, None] * hx,
-                            mid[:, None] + (hi - mid)[:, None] * hx], axis=1)
-        ws = np.concatenate([np.maximum(mid - lo, 0.0)[:, None] * hw,
-                             np.maximum(hi - mid, 0.0)[:, None] * hw], axis=1)
-        head = _interpolate(table, np.clip(length[:, None] - s, 0.0, 1.0), grid)
-        tail = _powers(np.maximum(s - cum(s), 0.0), k)
-        out[:, n, :k] = np.einsum("cp,cpk->ck", ws, _series_product(head, tail, k))
+        yield n, 1.0 - offsets - (n - 1) * b, table
         if n < n_max:
-            k -= 1
+            k = max(1, psi.shape[1] - n)
             table = table[..., :k]
             full = np.fft.irfft(_series_product(np.fft.rfft(table, size, axis=1),
                                                 psi_hat, k), size, axis=1)[:, :grid + 1]
             table = h * full - 0.5 * h * (_series_product(table[:, :1], psi, k)
                                           + _series_product(table, psi[:1], k))
+
+
+def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
+               s: np.ndarray, grid: int, weight: Callable) -> np.ndarray:
+    """(C, P, k) chained table at tail lengths s (C, P) times the tail weight.
+
+    The table is read off its local interpolant at 1 - s; a tail longer
+    than ``length`` leaves no room for the click and gives zero.
+    """
+    _, _, cum = _scaled(config)
+    pos = length[:, None] - s
+    head = _interpolate(table, np.clip(pos, 0.0, 1.0), grid)
+    k = table.shape[-1]
+    return np.where((pos >= 0.0)[..., None],
+                    _series_product(head, weight(s, cum(s))[..., :k], k), 0.0)
+
+
+def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
+                   span: Tuple[float, float], order: int, grid: int,
+                   weight: Callable) -> Optional[np.ndarray]:
+    """(C, k) integral of ``_with_tail`` over tails s in ``span``.
+
+    The Gauss rule is split at s = b, where the tail weight kinks.  None
+    when no carry leaves room for a tail in the span.
+    """
+    b = _scaled(config)[0]
+    lo = np.full(len(length), max(0.0, span[0]))
+    hi = np.minimum(length, span[1])
+    if np.all(hi <= lo):
+        return None
+    x, w = _gauss(order)
+    hx, hw = 0.5 * (x + 1.0), 0.5 * w
+    mid = np.clip(b, lo, np.maximum(lo, hi))
+    s = np.concatenate([lo[:, None] + (mid - lo)[:, None] * hx,
+                        mid[:, None] + (hi - mid)[:, None] * hx], axis=1)
+    ws = np.concatenate([np.maximum(mid - lo, 0.0)[:, None] * hw,
+                         np.maximum(hi - mid, 0.0)[:, None] * hw], axis=1)
+    return np.einsum("cp,cpk->ck", ws, _with_tail(config, table, length, s, grid, weight))
+
+
+def _richardson(level: Callable):
+    """Richardson value over grids N, 2N, 4N and its distance from the coarser pair's.
+
+    ``level(grid, order)`` computes the table on one grid, with the tail
+    rule's order doubling alongside.
+    """
+    t = [level(_GRID << i, _TAIL_ORDER << i) for i in range(3)]
+    coarse = (4.0 * t[1] - t[0]) / 3.0
+    value = (4.0 * t[2] - t[1]) / 3.0
+    return value, np.abs(value - coarse)
+
+
+def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
+                  carries: Sequence[Optional[float]], span: Tuple[float, float],
+                  grid: int, order: int) -> np.ndarray:
+    """[z^k] F_n in window units, shape (carries, n_max + 1, m_max), on one grid."""
+
+    def weight(elapsed, exposed):
+        return _powers(np.maximum(elapsed - exposed, 0.0), m_max)
+
+    out = np.zeros((len(carries), n_max + 1, m_max))
+    for n, length, table in _chain(config, carries, weight, 1.0, n_max, grid):
+        row = _tail_integral(config, table, length, span, order, grid, weight)
+        if row is None:
+            break  # every later row is past the click cap
+        out[:, n, :row.shape[-1]] = row
     return out
 
 
-def serves(config: DetectorConfig, m_max: int) -> bool:
-    """Whether ``fock_table`` covers this configuration and photon range.
+def serves(config: DetectorConfig, m_max: int = 0) -> bool:
+    """Whether the engine covers this configuration and photon range.
 
     Tabulated modes are not shift-invariant.  A tabulated recovery curve
     kinks at every knot, which the last convolution's Gauss rule does not
@@ -187,17 +255,67 @@ def fock_table(config: DetectorConfig, n_max: int, m_max: int,
     tm = config.tau_m
     span = (0.0, 1.0) if last_click is None else (1.0 - last_click[1] / tm,
                                                    1.0 - last_click[0] / tm)
-    entries = np.zeros((3, len(carries), n_max + 1, m_max + 1))
-    if n_max >= 1:
-        fact = np.array([math.factorial(m) for m in range(m_max + 1)], dtype=float)
-        for level in range(3):
-            coef = _coefficients(config, n_max, m_max, carries, span,
-                                 _GRID << level, _TAIL_ORDER << level)
-            for n in range(1, n_max + 1):
-                entries[level, :, n, n:] = fact[n:] * coef[:, n, :m_max - n + 1]
-    coarse = (4.0 * entries[1] - entries[0]) / 3.0
-    value = (4.0 * entries[2] - entries[1]) / 3.0
-    err = np.abs(value - coarse)
+    fact = np.array([math.factorial(m) for m in range(m_max + 1)], dtype=float)
+
+    def level(grid, order):
+        coef = _coefficients(config, n_max, m_max, carries, span, grid, order)
+        entries = np.zeros((len(carries), n_max + 1, m_max + 1))
+        for n in range(1, n_max + 1):
+            entries[:, n, n:] = fact[n:] * coef[:, n, :m_max - n + 1]
+        return entries
+
+    value, err = _richardson(level)
     if not batched:
         return value[0], err[0]
+    return value, err
+
+
+def coherent_table(config: DetectorConfig, n_max: int, a: float,
+                   carry: Optional[float] = None, last_click=None):
+    """Coherent click rows at effective mean ``a`` from one chain of scalar convolutions.
+
+    At a fixed mean every factor is one number: a xi(g) e^(-a C(g)/tau_m)
+    for a click after a gap g, a e^(-a t_1/tau_m) for a fresh first click
+    (with a carry, its carried efficiency and exposure) and
+    e^(-a C(s)/tau_m) for the tail s.  Apart from the factor a each is at
+    most 1, so the chain needs no photon-number cap and gains no
+    round-off with n.  The chained table A_n(t) is the density of the n-th
+    click at t.
+
+    Returns ``(value, err)`` of shape (n_max + 1,): value[n] is the
+    probability of n clicks, the integral of A_n times the tail weight.
+    With ``last_click`` (a time, or an array of P times) the shape is
+    (n_max + 1,) or (n_max + 1, P) and value[n] is the density in the time
+    of the n-th click pinned there with none after it, A_n(t) e^(-a
+    C(tau_m - t)/tau_m).  Row 0 is zero.
+    """
+    if not serves(config):
+        raise DomainError("the renewal engine needs a monochromatic mode and a "
+                          "built-in recovery profile")
+    if n_max < 0:
+        raise DomainError("the renewal engine needs n_max >= 0")
+    if carry is not None and carry < 0:
+        raise DomainError("carry gap must be nonnegative")
+    tm = config.tau_m
+    tails = None if last_click is None else (tm - np.atleast_1d(last_click)) / tm
+
+    def weight(elapsed, exposed):
+        return np.exp(-a * exposed)[..., None]
+
+    def level(grid, order):
+        out = np.zeros((n_max + 1,) + (() if tails is None else tails.shape))
+        for n, length, table in _chain(config, [carry], weight, a, n_max, grid):
+            if tails is not None:
+                out[n] = _with_tail(config, table, length, tails[None, :], grid,
+                                    weight)[0, :, 0] / tm
+                continue
+            row = _tail_integral(config, table, length, (0.0, 1.0), order, grid, weight)
+            if row is None:
+                break  # every later row is past the click cap
+            out[n] = row[0, 0]
+        return out
+
+    value, err = _richardson(level)
+    if last_click is not None and np.ndim(last_click) == 0:
+        return value[:, 0], err[:, 0]
     return value, err

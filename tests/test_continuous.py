@@ -277,6 +277,13 @@ class TestDeltaResolution:
         with pytest.warns(UserWarning, match="uniform-distribution"):
             resolve_delta(EXP, CwConfig(delta=0.3))
 
+    def test_kernels_warn_once(self):
+        import warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            memory_kernels(EXP, CwConfig(delta=0.1), m_max=2, spec=SPEC)
+        assert len([w for w in caught if issubclass(w.category, UserWarning)]) == 1
+
     def test_validation(self):
         with pytest.raises(DomainError):
             CwConfig(delta=-0.1)

@@ -6,11 +6,14 @@ import pytest
 
 from snspd_stats import (CwConfig, DetectorConfig, DomainError, EfficiencyProfile,
                          ModeProfile, QuadratureSpec, carryover_matrix,
-                         cond_prob_matrix)
+                         coherent_click_probability, coherent_click_probability_after_gap,
+                         cond_prob_matrix, last_click_density)
 from snspd_stats.continuous import _carry_nodes, memory_kernels, resolve_delta
-from snspd_stats.independent import (deadtime_closed_form, fock_row, number_table,
-                                     same_count_probability)
-from snspd_stats.renewal import M_MAX, fock_table
+from snspd_stats.independent import (coherent_row, coherent_rows, deadtime_closed_form,
+                                     fock_row, number_table, same_count_probability)
+from snspd_stats.quadrature import _gauss
+from snspd_stats.renewal import M_MAX, coherent_table, fock_table
+from snspd_stats.weights import window_integral
 
 SPEC = QuadratureSpec()
 GAUSS = QuadratureSpec(method="nested_gauss")
@@ -167,3 +170,103 @@ def test_dead_time_carryover_matches_exact_mixture():
     ref = np.array([[sum(w * conditioned(n, m, c) for c, w in zip(taus, tws))
                      for m in range(9)] for n in range(mat.n_max + 1)])
     assert np.abs(mat.entries - ref).max() < 1e-9
+
+
+# -- fixed-mean coherent chain ----------------------------------------------
+
+PINS = np.array([0.45, 0.9, 0.99])  # last-click times
+
+
+@pytest.mark.parametrize("kind", ["exp", "dead"])
+@pytest.mark.parametrize("carry", [None, 0.02, 0.3])
+@pytest.mark.parametrize("a", [1.0, 4.0])
+def test_coherent_chain_matches_nested_gauss(kind, carry, a):
+    config = _config(kind, 0.05)
+    rows = coherent_rows(config, 5, a, SPEC, carry=carry)
+    pinned = coherent_rows(config, 5, a, SPEC, carry=carry, last_click=PINS)
+    assert sorted(rows) == sorted(pinned) == [1, 2, 3, 4, 5]
+    for n in range(1, 6):
+        # a single row runs the chain up to n and gets the same value
+        assert coherent_row(config, n, a, SPEC, carry=carry) == rows[n]
+        ref = coherent_row(config, n, a, GAUSS, carry=carry)
+        assert abs(rows[n] - ref) < 1e-10
+        for t, value in zip(PINS, pinned[n]):
+            ref = coherent_row(config, n, a, GAUSS, carry=carry, last_click=t)
+            assert abs(value - ref) < 1e-10
+
+
+@pytest.mark.parametrize("config", [EXP, DEAD], ids=["exp", "dead"])
+def test_last_click_density_normalizes(config):
+    # exp(-a) plus the last-click mass is one; panels end at every kink
+    x, w = _gauss(16)
+    edges = np.linspace(0.0, 1.0, 21)
+    taus = np.concatenate([0.5 * (hi - lo) * x + 0.5 * (lo + hi)
+                           for lo, hi in zip(edges[:-1], edges[1:])])
+    wts = np.concatenate([0.5 * (hi - lo) * w for lo, hi in zip(edges[:-1], edges[1:])])
+    for a in (1.0, 4.0):
+        mass = float(wts @ last_click_density(config, a, taus, SPEC))
+        assert abs(math.exp(-a) + mass - 1.0) < 1e-9
+
+
+def test_vacuum_density_is_exactly_zero():
+    assert last_click_density(EXP, 0.0, 0.2, SPEC) == 0.0
+    assert last_click_density(EXP, 0.0, 0.2, SPEC, carry=0.02) == 0.0
+    assert np.all(last_click_density(DEAD, 0.0, PINS, SPEC) == 0.0)
+
+
+def _integral(config, n, a, spec, carry=None, last_click=None):
+    """The quadrature route of a coherent row: a^n times window_integral."""
+    val, _ = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
+                             spec, carry=carry, last_click=last_click)
+    return a**n * float(val)
+
+
+def _integral_density(config, a, tau, spec, carry, n_cut):
+    total = 0.0
+    for n in range(1, n_cut + 1):
+        term = _integral(config, n, a, spec, carry=carry, last_click=1.0 - tau)
+        total += term
+        if n > a and term < 1e-9 * max(total, 1e-300):
+            break
+    return total
+
+
+COARSE = QuadratureSpec(gauss_order=8)
+FALLBACK_CASES = [
+    (DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
+        [(0.0, 0.0), (0.05, 0.0), (0.3, 0.9), (1.0, 1.0)])), COARSE),
+    (DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2),
+                    mode=ModeProfile.tabulated([(0.0, 1.0), (0.5, 2.0), (1.0, 1.0)])), COARSE),
+    (EXP, QuadratureSpec(method="nested_gauss", gauss_order=8)),
+    (EXP, QuadratureSpec(method="qmc_sobol", qmc_samples=1 << 12)),
+]
+
+
+@pytest.mark.parametrize("config, spec", FALLBACK_CASES,
+                         ids=["tabulated_profile", "tabulated_mode", "nested_gauss", "qmc_sobol"])
+def test_unserved_coherent_rows_fall_back_bit_for_bit(config, spec):
+    assert coherent_rows(config, 3, 1.0, spec) == {}
+    for n in range(1, 4):
+        assert coherent_click_probability(config, n, 1.0, spec) == _integral(config, n, 1.0, spec)
+        assert coherent_click_probability_after_gap(config, n, 1.0, 0.02, spec) == \
+            _integral(config, n, 1.0, spec, carry=0.02)
+    taus = np.array([0.1, 0.4])
+    for carry in (None, 0.02):
+        got = last_click_density(config, 1.0, taus, spec, carry=carry, n_cut=3)
+        ref = [_integral_density(config, 1.0, t, spec, carry, 3) for t in taus]
+        assert np.array_equal(got, ref)
+
+
+def test_rejected_coherent_rows_fall_back_bit_for_bit():
+    # a recovery far faster than the grid step: the estimate flags rows 2-3
+    fast = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 5e-6))
+    assert sorted(coherent_rows(fast, 3, 1.0, SPEC)) == [1]
+    assert sorted(coherent_rows(fast, 3, 1.0, SPEC, last_click=np.array([0.6, 0.9]))) == [1]
+    for n in (2, 3):
+        assert coherent_click_probability(fast, n, 1.0, SPEC) == _integral(fast, n, 1.0, SPEC)
+    taus = np.array([0.1, 0.4])
+    value, _ = coherent_table(fast, 1, 1.0, last_click=1.0 - taus)
+    got = last_click_density(fast, 1.0, taus, SPEC, n_cut=3)
+    ref = [value[1, j] + _integral(fast, 2, 1.0, SPEC, last_click=1.0 - t)
+           + _integral(fast, 3, 1.0, SPEC, last_click=1.0 - t) for j, t in enumerate(taus)]
+    assert np.array_equal(got, ref)
