@@ -183,7 +183,8 @@ def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,
                    spec: QuadratureSpec = DEFAULT_SPEC) -> MemoryKernels:
     """Memory coefficients a_m, b_m, c_m plus the carry-averaged matrix.
 
-    ``meta`` records the ``engines`` and ``renewal_err`` of the a and b tables.
+    ``meta`` records the ``engines``, ``renewal_err`` and ``quad_err`` of the a
+    and b tables.
     """
     delta = resolve_delta(config, cw)  # resolved once, so an unrecovered Delta warns once
     if config.efficiency.kind == "ideal":
@@ -192,7 +193,8 @@ def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,
         before = float(config.mode.cumulative(0.0, config.tau_m - delta, config.tau_m))
         a = before ** np.arange(m_max + 1)
         b = a.copy()
-        meta_a = meta_b = {"engines": ["closed_form"] * (m_max + 1), "renewal_err": None}
+        meta_a = meta_b = {"engines": ["closed_form"] * (m_max + 1), "renewal_err": None,
+                           "quad_err": None}
     else:
         d_matrix = _carried_matrix(config, delta, None, m_max, spec)
         n_max = resolve_n_max(config, None, m_max)
@@ -201,7 +203,8 @@ def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,
         carried, meta_b = number_table(config, n_max, m_max, spec, last_click=last_click,
                                        carries=_carry_nodes(config, delta))
         a, b = 1.0 - fresh.sum(axis=0), 1.0 - carried.sum(axis=0)
-    meta = {key: {"a": meta_a[key], "b": meta_b[key]} for key in ("engines", "renewal_err")}
+    meta = {key: {"a": meta_a[key], "b": meta_b[key]}
+            for key in ("engines", "renewal_err", "quad_err")}
     return MemoryKernels(a_m=a, b_m=b, c_m=a - b, d_matrix=d_matrix, delta=delta,
                          meta={"seed": spec.seed, **meta})
 
@@ -364,8 +367,8 @@ def last_click_density_fock(config: DetectorConfig, m: int, tau,
     for j, t in enumerate(taus):
         total = 0.0
         for n in range(1, n_rows + 1):
-            row = fock_row(config, n, np.array([m - n]), reduced_spec(spec, n - 1),
-                           carry=carry, last_click=config.tau_m - float(t))
+            row, _ = fock_row(config, n, np.array([m - n]), reduced_spec(spec, n - 1),
+                              carry=carry, last_click=config.tau_m - float(t))
             total += math.perm(m, n) * float(row[0])
         out[j] = total
     return out if np.ndim(tau) else float(out[0])

@@ -64,16 +64,17 @@ def fock_row(config: DetectorConfig, n: int, exps: np.ndarray,
     """Integrals of density * (1-exposure)^e over the n-click support, per e.
 
     ``carry`` and ``last_click`` are passed on to ``window_integral``.
-    The result has shape (len(exps),), or (len(carry), len(exps)) for a
-    1-D array of carries.
+    Returns ``(value, error)``, each of shape (len(exps),), or
+    (len(carry), len(exps)) for a 1-D array of carries.
     """
 
     def reduce(dens, expo):
         return dens[:, None] * power_matrix(1.0 - expo, exps)
 
-    val, _ = window_integral(config, n, reduce, spec, carry=carry,
-                             last_click=last_click)
-    return np.broadcast_to(val, np.shape(carry) + (len(exps),))
+    val, err = window_integral(config, n, reduce, spec, carry=carry,
+                               last_click=last_click)
+    shape = np.shape(carry) + (len(exps),)
+    return np.broadcast_to(val, shape), np.broadcast_to(err, shape)
 
 
 def resolve_n_max(config: DetectorConfig, n_max: Optional[int], m_max: int) -> int:
@@ -99,7 +100,7 @@ def reduced_spec(spec: QuadratureSpec, dims: int) -> QuadratureSpec:
 
 
 def _quadrature_row(config: DetectorConfig, n: int, exps: np.ndarray,
-                    spec: QuadratureSpec, carries, last_click) -> np.ndarray:
+                    spec: QuadratureSpec, carries, last_click):
     """Support integrals of row n for exponents ``exps``, averaged over ``carries``.
 
     Carries at or beyond the dead time share one support plan, so their
@@ -107,25 +108,31 @@ def _quadrature_row(config: DetectorConfig, n: int, exps: np.ndarray,
     carries shrink the support; they are integrated per node (the plain
     Gauss ladder in low dimension, a tilted Sobol pass otherwise, which is
     plenty for their 1/6 share of the average).
+
+    Returns ``(value, error)``, the error estimates weighted as the values.
     """
     if carries is None:
         use = spec if last_click is None else reduced_spec(spec, n)
         return fock_row(config, n, exps, use, last_click=last_click)
     taus, tws = carries
     td = config.efficiency.breakpoint or 0.0
-    out = np.zeros(len(exps))
+    out, out_err = np.zeros(len(exps)), np.zeros(len(exps))
     near = taus < td if spec.resolve_method(n) == "nested_gauss" else np.zeros(len(taus), bool)
     for tau, wt in zip(taus[near], tws[near]):
         # per-node rows leave nested Gauss one dimension early
         use = spec if n <= 4 else reduced_spec(replace(spec, method="qmc_sobol"), n + 1)
-        out += wt * fock_row(config, n, exps, use, carry=float(tau), last_click=last_click)
+        val, err = fock_row(config, n, exps, use, carry=float(tau), last_click=last_click)
+        out += wt * val
+        out_err += wt * err
     far_t, far_w = taus[~near], tws[~near]
     block = max(1, 64 // max(1, len(exps)))
     use = reduced_spec(spec, n)
     for b0 in range(0, len(far_t), block):
-        out += far_w[b0:b0 + block] @ fock_row(
-            config, n, exps, use, carry=far_t[b0:b0 + block], last_click=last_click)
-    return out
+        val, err = fock_row(config, n, exps, use, carry=far_t[b0:b0 + block],
+                            last_click=last_click)
+        out += far_w[b0:b0 + block] @ val
+        out_err += far_w[b0:b0 + block] @ err
+    return out, out_err
 
 
 def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
@@ -145,8 +152,9 @@ def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratur
     Returns ``(entries, meta)``; meta records the requested ``method``,
     the ``engines`` of rows 0..n_max ("closed_form" for the zero-click row
     and rows above the cap, else "renewal" or the resolved quadrature
-    method) and ``renewal_err``, the largest error estimate of the renewal
-    rows taken (None without any).
+    method), ``renewal_err``, the largest error estimate of the renewal
+    rows taken, and ``quad_err``, that of the quadrature rows (each None
+    without any such row).
     """
     cap = config.max_clicks()
     top = n_max if cap is None else min(cap, n_max)
@@ -171,16 +179,20 @@ def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratur
     def compute_row(n):
         ms = np.arange(n, m_max + 1)
         perm = np.array([math.perm(int(m), n) for m in ms], dtype=float)
-        return perm * _quadrature_row(config, n, ms - n, spec, carries, last_click)
+        val, err = _quadrature_row(config, n, ms - n, spec, carries, last_click)
+        return perm * val, float((perm * err).max())
 
     engines = ["closed_form"] * (n_max + 1)
     for n in range(1, top + 1):
         engines[n] = "renewal" if n in done else spec.resolve_method(n)
     todo = [n for n in range(1, top + 1) if n not in done]
-    done.update(zip(todo, map_indexed(compute_row, todo)))
+    rows = map_indexed(compute_row, todo)
+    done.update((n, vals) for n, (vals, _) in zip(todo, rows))
+    quad_err = max((err for _, err in rows), default=None)
     for n, vals in done.items():
         entries[n, n:] = vals
-    return entries, {"method": spec.method, "engines": engines, "renewal_err": renewal_err}
+    return entries, {"method": spec.method, "engines": engines, "renewal_err": renewal_err,
+                     "quad_err": quad_err}
 
 
 def poisson_weight(n: int, a: float) -> float:
@@ -264,7 +276,8 @@ def cond_prob_matrix(config: DetectorConfig, n_max: Optional[int] = None,
     if config.efficiency.kind == "ideal":
         entries = np.eye(n_max + 1, m_max + 1)
         scenario = "independent:pnr"
-        provenance = {"engines": ["closed_form"] * (n_max + 1), "renewal_err": None}
+        provenance = {"engines": ["closed_form"] * (n_max + 1), "renewal_err": None,
+                      "quad_err": None}
     else:
         entries, provenance = number_table(config, n_max, m_max, spec)
         scenario = "independent"
@@ -304,8 +317,8 @@ def regular_irregular_split(config: DetectorConfig, n: int, m: int,
     boundary = config.tau_m - config.efficiency.tau_d  # latest regular last click
     perm = float(math.perm(m, n))
     exps = np.array([m - n])
-    reg = fock_row(config, n, exps, spec, last_click=(0.0, boundary))
-    irr = fock_row(config, n, exps, spec, last_click=(boundary, config.tau_m))
+    reg, _ = fock_row(config, n, exps, spec, last_click=(0.0, boundary))
+    irr, _ = fock_row(config, n, exps, spec, last_click=(boundary, config.tau_m))
     return perm * float(reg[0]), perm * float(irr[0])
 
 

@@ -20,7 +20,9 @@ the counting structure of a renewal process (Cox, Renewal Theory, 1962;
 Mueller, NIM 112, 47 (1973)).  Each factor is stored as a table of its
 z-series coefficients (D/tau_m)^k/k! on a uniform grid, so every
 coefficient is a sum of positive terms and all click numbers come out of
-one chain of convolutions.
+one chain of convolutions.  For many photons the chain is exponentially
+tilted, every factor times e^(-lambda u), which keeps each convolution
+exact and damps the FFT round-off of the series product.
 
 Gaps are shifted by the dead time b and the first click by the support
 plan's offset, which leaves every gap factor smooth on the grid whatever b
@@ -47,12 +49,27 @@ from .errors import DomainError
 from .quadrature import _gauss
 
 # Highest photon number served.  FFT round-off in the zero-padded series
-# product grows like (max D / min D)^k with the series degree k.  For the
-# exponential profile (tau_d = 0.05, tau_r = 0.2) every row passes its error
-# test up to m_max = 24; at 28 the test rejects rows 10-11 and at 32 rows
-# 8-14, which fall back to quadrature.  Past the cutoff the engine is skipped
+# product grows like (max D / min D)^k with the series degree k.  Untilted,
+# for the exponential profile (tau_d = 0.05, tau_r = 0.2) every row passes
+# its error test up to m_max = 24; at 28 the test rejects rows 10-11 and at
+# 32 rows 8-14.  The tilt below damps that growth: at m_max = 40 and 64
+# every row passes, with column sums within 5.5e-9 and 1.8e-8.  No single
+# tilt served m_max = 128 or 256, so past the cutoff the engine is skipped
 # before it builds any series (figure 5 runs at m = 256).
-M_MAX = 32
+M_MAX = 64
+
+# Exponential tilt lambda of the z-series chain (see ``_chain``), chosen
+# from m_max so that a call builds one table: a ladder of lambdas would
+# build one per level.  Up to _UNTILTED_M_MAX the chain runs untilted and
+# its tables are those measured above.  Above it, lambda = 30 served every
+# row at m_max 28-64 on (tau_d, tau_r) = (0.05, 0.2) and (0.1, 0.3); on
+# (0.05, 0.05) and (0.02, 0.1) it rejected no more rows than lambda = 0 or
+# 15.  lambda = 40 breaks row 2 on (0.05, 0.2).  The tilt costs low rows
+# accuracy: P(2|2) on (0.05, 0.2) is 5.5e-9 off its closed form at
+# lambda = 30 against 6.5e-14 untilted, inside the tolerance the rows are
+# taken at.
+_UNTILTED_M_MAX = 24
+_TILT = 30.0
 
 # Coarsest grid size over the window; the Richardson ladder uses N, 2N and
 # 4N.  With N = 500 (tau_d = 0.05 tau_m, m <= 8, default tolerance) every
@@ -112,7 +129,7 @@ def _scaled(config: DetectorConfig):
 
 
 def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
-           weight: Callable, click: float, n_max: int, grid: int):
+           weight: Callable, click: float, n_max: int, grid: int, tilt: float = 0.0):
     """Chained weight of the n-th click on one grid, for n = 1..n_max.
 
     ``weight(elapsed, exposed)`` is a factor's weight for a stretch of
@@ -127,19 +144,26 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
     and ``length`` is what remains of the window.  A table keeps
     max(1, K - n + 1) coefficients: all a series row n needs, or its one
     value.
+
+    With ``tilt`` = lambda every factor is multiplied by e^(-lambda u) on its
+    grid, so the table holds the n-th click's weight times e^(-lambda j/grid);
+    each trapezoid sum keeps its terms, only scaled, and ``_with_tail``
+    undoes the factor at the read-off.
     """
     tm = config.tau_m
     b, xi, cum = _scaled(config)
     h = 1.0 / grid
     u = np.arange(grid + 1) * h
+    damp = np.exp(-tilt * u)[:, None]
     size = 1 << (2 * (grid + 1) - 1).bit_length()  # FFT length: linear convolution
-    psi = click * xi(b + u)[:, None] * weight(b + u, cum(b + u))
+    psi = click * damp * xi(b + u)[:, None] * weight(b + u, cum(b + u))
     psi_hat = np.fft.rfft(psi, size, axis=0)
 
     offsets = np.array([0.0 if c is None else max(0.0, b - c / tm) for c in carries])
-    table = np.stack([click * weight(u, u) if c is None else
-                      click * xi(c / tm + t)[:, None] * weight(t, cum(c / tm + t) - cum(c / tm))
-                      for c, t in zip(carries, offsets[:, None] + u)])
+    table = damp * np.stack([
+        click * weight(u, u) if c is None else
+        click * xi(c / tm + t)[:, None] * weight(t, cum(c / tm + t) - cum(c / tm))
+        for c, t in zip(carries, offsets[:, None] + u)])
     for n in range(1, n_max + 1):
         yield n, 1.0 - offsets - (n - 1) * b, table
         if n < n_max:
@@ -152,15 +176,17 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
 
 
 def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
-               s: np.ndarray, grid: int, weight: Callable) -> np.ndarray:
+               s: np.ndarray, grid: int, weight: Callable, tilt: float = 0.0) -> np.ndarray:
     """(C, P, k) chained table at tail lengths s (C, P) times the tail weight.
 
-    The table is read off its local interpolant at 1 - s; a tail longer
-    than ``length`` leaves no room for the click and gives zero.
+    The table is read off its local interpolant at 1 - s and its ``_chain``
+    tilt undone there; a tail longer than ``length`` leaves no room for the
+    click and gives zero.
     """
     _, _, cum = _scaled(config)
     pos = length[:, None] - s
-    head = _interpolate(table, np.clip(pos, 0.0, 1.0), grid)
+    at = np.clip(pos, 0.0, 1.0)
+    head = _interpolate(table, at, grid) * np.exp(tilt * at)[..., None]
     k = table.shape[-1]
     return np.where((pos >= 0.0)[..., None],
                     _series_product(head, weight(s, cum(s))[..., :k], k), 0.0)
@@ -168,7 +194,7 @@ def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
 
 def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
                    span: Tuple[float, float], order: int, grid: int,
-                   weight: Callable) -> Optional[np.ndarray]:
+                   weight: Callable, tilt: float = 0.0) -> Optional[np.ndarray]:
     """(C, k) integral of ``_with_tail`` over tails s in ``span``.
 
     The Gauss rule is split at s = b, where the tail weight kinks.  None
@@ -186,7 +212,7 @@ def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray
                         mid[:, None] + (hi - mid)[:, None] * hx], axis=1)
     ws = np.concatenate([np.maximum(mid - lo, 0.0)[:, None] * hw,
                          np.maximum(hi - mid, 0.0)[:, None] * hw], axis=1)
-    return np.einsum("cp,cpk->ck", ws, _with_tail(config, table, length, s, grid, weight))
+    return np.einsum("cp,cpk->ck", ws, _with_tail(config, table, length, s, grid, weight, tilt))
 
 
 def _richardson(level: Callable):
@@ -203,15 +229,15 @@ def _richardson(level: Callable):
 
 def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
                   carries: Sequence[Optional[float]], span: Tuple[float, float],
-                  grid: int, order: int) -> np.ndarray:
+                  grid: int, order: int, tilt: float) -> np.ndarray:
     """[z^k] F_n in window units, shape (carries, n_max + 1, m_max), on one grid."""
 
     def weight(elapsed, exposed):
         return _powers(np.maximum(elapsed - exposed, 0.0), m_max)
 
     out = np.zeros((len(carries), n_max + 1, m_max))
-    for n, length, table in _chain(config, carries, weight, 1.0, n_max, grid):
-        row = _tail_integral(config, table, length, span, order, grid, weight)
+    for n, length, table in _chain(config, carries, weight, 1.0, n_max, grid, tilt):
+        row = _tail_integral(config, table, length, span, order, grid, weight, tilt)
         if row is None:
             break  # every later row is past the click cap
         out[:, n, :row.shape[-1]] = row
@@ -256,9 +282,10 @@ def fock_table(config: DetectorConfig, n_max: int, m_max: int,
     span = (0.0, 1.0) if last_click is None else (1.0 - last_click[1] / tm,
                                                    1.0 - last_click[0] / tm)
     fact = np.array([math.factorial(m) for m in range(m_max + 1)], dtype=float)
+    tilt = 0.0 if m_max <= _UNTILTED_M_MAX else _TILT
 
     def level(grid, order):
-        coef = _coefficients(config, n_max, m_max, carries, span, grid, order)
+        coef = _coefficients(config, n_max, m_max, carries, span, grid, order, tilt)
         entries = np.zeros((len(carries), n_max + 1, m_max + 1))
         for n in range(1, n_max + 1):
             entries[:, n, n:] = fact[n:] * coef[:, n, :m_max - n + 1]

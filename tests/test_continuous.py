@@ -344,10 +344,10 @@ def test_fock_row_carry_block_matches_scalar_carries(n, last_click):
     spec = QuadratureSpec(qmc_samples=4096)
     carries = np.array([0.05, 0.12, 0.3])  # all at or beyond the dead time
     exps = np.arange(4)
-    block = fock_row(EXP, n, exps, spec, carry=carries, last_click=last_click)
-    assert block.shape == (len(carries), len(exps))
+    block, block_err = fock_row(EXP, n, exps, spec, carry=carries, last_click=last_click)
+    assert block.shape == block_err.shape == (len(carries), len(exps))
     for row, c in zip(block, carries):
-        single = fock_row(EXP, n, exps, spec, carry=float(c), last_click=last_click)
+        single, _ = fock_row(EXP, n, exps, spec, carry=float(c), last_click=last_click)
         np.testing.assert_allclose(row, single, rtol=spec.rel_tol, atol=spec.abs_tol)
 
 
@@ -370,9 +370,9 @@ def test_pinned_rows_integrate_to_last_click_range(config, rtol, n, carry):
     lo, hi = 0.7, 0.9
     pinned = sum(0.5 * (hi - lo) * wk
                  * fock_row(config, n, exps, SPEC, carry=carry,
-                            last_click=0.5 * (hi - lo) * xk + 0.5 * (hi + lo))
+                            last_click=0.5 * (hi - lo) * xk + 0.5 * (hi + lo))[0]
                  for xk, wk in zip(x, w))
-    ranged = fock_row(config, n, exps, SPEC, carry=carry, last_click=(lo, hi))
+    ranged, _ = fock_row(config, n, exps, SPEC, carry=carry, last_click=(lo, hi))
     np.testing.assert_allclose(pinned, ranged, rtol=rtol, atol=0.0)
 
 

@@ -2,6 +2,8 @@
 
 Dead-time integrands are polynomial in the click times, so a low Gauss
 order integrates them to rounding; the ideal profile needs no quadrature.
+Exponential-recovery rows come from the renewal engine, checked against
+the closed-form same-count diagonal.
 """
 
 import numpy as np
@@ -11,6 +13,8 @@ from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile, Quadrature
                          StateSpec, carryover_matrix, click_distribution_cw,
                          click_distribution_independent, cond_prob_matrix,
                          photon_number_dist)
+from snspd_stats.independent import same_count_probability
+from snspd_stats.renewal import fock_table
 
 CHEAP = QuadratureSpec(gauss_order=8)
 M_MAX = 5
@@ -59,3 +63,17 @@ def test_ideal_cw_equals_independent_windows(alpha_sq, eta, windows, delta):
     assert np.array_equal(cw_probs, click_distribution_independent(state, config).probs)
     carried = carryover_matrix(config, cw, m_max=M_MAX).entries
     assert np.array_equal(carried, cond_prob_matrix(config, m_max=M_MAX).entries)
+
+
+@settings(max_examples=5, deadline=None)
+@given(tau_d=st.floats(min_value=0.02, max_value=0.1),
+       tau_r=st.floats(min_value=0.05, max_value=0.3),
+       m_max=st.sampled_from([28, 40]))
+def test_renewal_rows_meet_their_tolerance_on_the_diagonal(tau_d, tau_r, m_max):
+    # past m_max = 24 the chain is tilted; a row it serves must be as good as its estimate says
+    config = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(tau_d, tau_r))
+    spec = QuadratureSpec()
+    value, err = fock_table(config, 8, m_max)
+    for n in range(2, 9):
+        if np.all(spec.accepts(value[n], err[n])):
+            assert spec.accepts(value[n, n], abs(value[n, n] - same_count_probability(config, n)))

@@ -35,7 +35,7 @@ def _gauss_rows(config, n_top, m_max, spec, carry=None, last_click=None):
         ms = np.arange(n, m_max + 1)
         perm = np.array([math.perm(int(m), n) for m in ms], dtype=float)
         out[n, n:] = perm * fock_row(config, n, ms - n, spec, carry=carry,
-                                     last_click=last_click)
+                                     last_click=last_click)[0]
     return out
 
 
@@ -70,7 +70,46 @@ def test_exp_columns_sum_to_one():
     assert mat.meta["engines"] == ["closed_form"] + ["renewal"] * 20
     assert np.abs(mat.column_sums() - 1.0).max() < 1e-9
     assert 0.0 < mat.meta["renewal_err"] < 1e-8
+    assert mat.meta["quad_err"] is None
     assert mat.meta["method"] == "auto"
+
+
+def test_quadrature_rows_report_their_error():
+    # dead time 0.05 at m_max 32: the estimate rejects rows 14-20, which fall back
+    mat = cond_prob_matrix(DEAD, m_max=32, spec=SPEC)
+    fallback = [n for n, e in enumerate(mat.meta["engines"]) if e not in ("renewal", "closed_form")]
+    assert fallback
+    assert isinstance(mat.meta["quad_err"], float) and mat.meta["quad_err"] > 0.0
+
+
+@pytest.fixture(scope="module", params=[40, 64])
+def tilted_matrix(request):
+    return cond_prob_matrix(EXP, m_max=request.param, spec=SPEC)
+
+
+def test_tilted_tables_serve_every_row(tilted_matrix):
+    # untilted, m_max = 40 rejects every row from 2 and its columns miss 1 by 7.6e-5
+    cap = EXP.max_clicks()
+    assert tilted_matrix.meta["engines"] == ["closed_form"] + ["renewal"] * cap
+    assert tilted_matrix.meta["quad_err"] is None
+    assert np.abs(tilted_matrix.column_sums() - 1.0).max() < 1e-7
+    for n in range(2, cap + 1):
+        assert abs(tilted_matrix.entries[n, n] - same_count_probability(EXP, n)) < 1e-8
+
+
+@pytest.mark.parametrize("carry", [None, 0.02, np.array([0.004, 0.29])],
+                         ids=["fresh", "0.02", "batch"])
+@pytest.mark.parametrize("last_click", [None, (0.7, 1.0)])
+def test_tilted_rows_match_nested_gauss(carry, last_click):
+    # the tilt's discretisation error peaks on row 2 (5.5e-9 at P(2|2)),
+    # far inside the tolerance the rows are taken at
+    value, err = fock_table(EXP, 5, 40, carry=carry, last_click=last_click)
+    assert np.all(SPEC.accepts(value, err))
+    refs = [_gauss_rows(EXP, 5, 40, GAUSS, carry=c, last_click=last_click)
+            for c in np.atleast_1d(carry)]
+    diff = np.abs(value - (refs if np.ndim(carry) else refs[0]))
+    assert diff.max() < 1e-8
+    assert np.all(SPEC.accepts(value, diff))
 
 
 def test_same_count_matches_renewal_diagonal():

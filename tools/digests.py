@@ -1,0 +1,117 @@
+"""Print one digest per standard output of the package.
+
+A digest is the first 16 hex digits of the sha256 of the comma-joined
+``repr`` of every float of the output, the scheme of
+``results._payload_digest``; text outputs hash their bytes.  Every output
+uses ``QuadratureSpec(seed=3)``, tau_m = 1, exp = (tau_d 0.05, tau_r 0.2),
+dead = tau_d 0.05 and, for the memory model, ``CwConfig(delta=0.3)``.
+
+Run it on two checkouts and compare the lines (timings go to stderr): a
+digest moves only where a change means to move it.
+
+    python tools/digests.py                 # every output
+    python tools/digests.py matrix kernels  # outputs whose name contains a word
+    PYTHONPATH=/path/to/other/src python tools/digests.py
+
+The package is imported from ``PYTHONPATH`` when it is found there, else
+from this checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import time
+import warnings
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile,  # noqa: E402
+                         QuadratureSpec, carryover_matrix, coherent_click_probability,
+                         coherent_click_probability_after_gap, cond_prob_matrix,
+                         last_click_density)
+from snspd_stats.cli import figure_payload  # noqa: E402
+from snspd_stats.continuous import last_click_density_fock, memory_kernels  # noqa: E402
+from snspd_stats.results import _payload_digest  # noqa: E402
+from snspd_stats.validation import run_suite  # noqa: E402
+
+SPEC = QuadratureSpec(seed=3)
+CW = CwConfig(delta=0.3)
+EXP = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2))
+DEAD = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.dead_time(0.05))
+IDEAL = DetectorConfig(tau_m=1.0)
+LOSSY = DetectorConfig(tau_m=1.0, eta=0.8, nu=0.1, efficiency=EXP.efficiency)
+_KNOTS = np.linspace(0.0, 1.0, 501)  # the exp curve sampled at step 0.002
+TABULATED = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
+    list(zip(_KNOTS, EXP.efficiency.value(_KNOTS)))))
+OFFSETS = np.array([0.01, 0.03, 0.1, 0.27, 0.6])
+CARRIES = (0.0, 0.02, 0.05, 0.1, 0.3, 5.0)
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _kernels(config, m_max):
+    k = memory_kernels(config, CW, m_max=m_max, spec=SPEC)
+    return np.concatenate([k.a_m, k.b_m, k.c_m, k.d_matrix.entries.ravel()])
+
+
+def _coherent():
+    cases = [(EXP, SPEC), (DEAD, SPEC), (LOSSY, SPEC),
+             (TABULATED, QuadratureSpec(seed=3, gauss_order=8)), (IDEAL, SPEC)]
+    return [coherent_click_probability(c, n, 3.0, s) for c, s in cases for n in range(8)]
+
+
+def _after_gap():
+    return [coherent_click_probability_after_gap(c, n, 3.0, g, SPEC)
+            for c in (EXP, DEAD, IDEAL) for n in range(7) for g in CARRIES]
+
+
+def _fock_density():
+    return np.concatenate([last_click_density_fock(c, m, OFFSETS, SPEC, carry=carry)
+                           for c, carry in ((EXP, None), (DEAD, 0.02)) for m in (1, 3, 8)])
+
+
+OUTPUTS = {
+    "matrix exp m_max 20": lambda: cond_prob_matrix(EXP, m_max=20, spec=SPEC).entries,
+    "matrix exp m_max 40": lambda: cond_prob_matrix(EXP, m_max=40, spec=SPEC).entries,
+    "matrix dead m_max 12": lambda: cond_prob_matrix(DEAD, m_max=12, spec=SPEC).entries,
+    "matrix tabulated m_max 6":
+        lambda: cond_prob_matrix(TABULATED, m_max=6, spec=SPEC).entries,
+    "carryover exp m_max 8": lambda: carryover_matrix(EXP, CW, m_max=8, spec=SPEC).entries,
+    "kernels exp m_max 8 (a|b|c|D)": lambda: _kernels(EXP, 8),
+    "coherent exp/dead/lossy/tabulated/ideal n 0-7 alpha^2 3": _coherent,
+    "after_gap exp/dead/ideal n 0-6 six carries alpha^2 3": _after_gap,
+    "last_click exp a 4": lambda: last_click_density(EXP, 4.0, OFFSETS, SPEC),
+    "last_click exp a 4 carry 0.02":
+        lambda: last_click_density(EXP, 4.0, OFFSETS, SPEC, carry=0.02),
+    "last_click dead a 4": lambda: last_click_density(DEAD, 4.0, OFFSETS, SPEC),
+    "last_click dead a 4 carry 0.02":
+        lambda: last_click_density(DEAD, 4.0, OFFSETS, SPEC, carry=0.02),
+    "last_click exp a 1": lambda: last_click_density(EXP, 1.0, OFFSETS, SPEC),
+    "last_click_fock exp m 1,3,8 | dead carry 0.02 m 1,3,8": _fock_density,
+    "figure_payload(4)": lambda: figure_payload(4, SPEC)["digest"],
+    "validate --suite quick": lambda: _text_digest(run_suite("quick")[0]),
+}
+
+
+def main(argv) -> int:
+    words = argv[1:]
+    warnings.simplefilter("ignore")  # Delta = 0.3 is short of full recovery on exp
+    for name, make in OUTPUTS.items():
+        if words and not any(w in name for w in words):
+            continue
+        t0 = time.perf_counter()
+        out = make()
+        digest = out if isinstance(out, str) else _payload_digest(np.asarray(out))
+        print(f"{digest}  {name}", flush=True)
+        print(f"  {name}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
