@@ -41,7 +41,8 @@ from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
 from .independent import (DEFAULT_SPEC, click_distribution_independent,
                           coherent_integral, coherent_row, coherent_rows, cond_prob_matrix,
-                          fock_row, number_table, reduced_spec, resolve_n_max)
+                          fock_row, number_table, number_tables, reduced_spec,
+                          resolve_n_max)
 from .quadrature import QuadratureSpec, _gauss
 from .results import ClickDistribution, ConditionalMatrix
 from .states import PhotonNumberDist
@@ -164,17 +165,17 @@ def carryover_matrix(config: DetectorConfig, cw: CwConfig,
         out = cond_prob_matrix(config, n_max=n_max, m_max=m_max, spec=spec)
         return ConditionalMatrix(entries=out.entries, scenario="cw:carry-averaged",
                                  config=out.config, meta=out.meta)
-    return _carried_matrix(config, resolve_delta(config, cw), n_max, m_max, spec)
-
-
-def _carried_matrix(config: DetectorConfig, delta: float, n_max: Optional[int],
-                    m_max: int, spec: QuadratureSpec) -> ConditionalMatrix:
-    """``carryover_matrix`` of a non-ideal profile at a resolved Delta."""
+    delta = resolve_delta(config, cw)
     n_max = resolve_n_max(config, n_max, m_max)
     entries, provenance = number_table(config, n_max, m_max, spec,
                                        carries=_carry_nodes(config, delta))
-    entries = np.clip(entries, 0.0, 1.0)
-    return ConditionalMatrix(entries=entries, scenario="cw:carry-averaged",
+    return _carried_matrix(config, delta, entries, provenance, spec)
+
+
+def _carried_matrix(config: DetectorConfig, delta: float, entries: np.ndarray,
+                    provenance: dict, spec: QuadratureSpec) -> ConditionalMatrix:
+    """``carryover_matrix``'s result from its number table at a resolved Delta."""
+    return ConditionalMatrix(entries=np.clip(entries, 0.0, 1.0), scenario="cw:carry-averaged",
                              config=config.to_json_dict(),
                              meta={"delta": delta, "seed": spec.seed, **provenance})
 
@@ -183,8 +184,11 @@ def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,
                    spec: QuadratureSpec = DEFAULT_SPEC) -> MemoryKernels:
     """Memory coefficients a_m, b_m, c_m plus the carry-averaged matrix.
 
-    ``meta`` records the ``engines``, ``renewal_err`` and ``quad_err`` of the a
-    and b tables.
+    The carry-averaged matrix and the b table read one carried chain at
+    two last-click ranges (``number_tables``), each bit for bit what
+    ``carryover_matrix`` and a carried ``number_table`` give alone.
+    ``meta`` records the ``engines``, ``renewal_err`` and ``quad_err`` of
+    the a and b tables.
     """
     delta = resolve_delta(config, cw)  # resolved once, so an unrecovered Delta warns once
     if config.efficiency.kind == "ideal":
@@ -196,12 +200,12 @@ def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,
         meta_a = meta_b = {"engines": ["closed_form"] * (m_max + 1), "renewal_err": None,
                            "quad_err": None}
     else:
-        d_matrix = _carried_matrix(config, delta, None, m_max, spec)
         n_max = resolve_n_max(config, None, m_max)
         last_click = (config.tau_m - delta, config.tau_m)
         fresh, meta_a = number_table(config, n_max, m_max, spec, last_click=last_click)
-        carried, meta_b = number_table(config, n_max, m_max, spec, last_click=last_click,
-                                       carries=_carry_nodes(config, delta))
+        (d_entries, d_meta), (carried, meta_b) = number_tables(
+            config, n_max, m_max, spec, [None, last_click], carries=_carry_nodes(config, delta))
+        d_matrix = _carried_matrix(config, delta, d_entries, d_meta, spec)
         a, b = 1.0 - fresh.sum(axis=0), 1.0 - carried.sum(axis=0)
     meta = {key: {"a": meta_a[key], "b": meta_b[key]}
             for key in ("engines", "renewal_err", "quad_err")}

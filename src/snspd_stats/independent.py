@@ -146,8 +146,10 @@ def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratur
     meets ``spec``'s tolerance against its error estimate.  Other rows
     n = 1..n_max are integrated independently (threaded when configured),
     at the ``reduced_spec`` budget when the window is carried or
-    restricted.  Row 0 holds the no-click probability, zero under a
-    last-click range; rows above the click cap stay zero.
+    restricted; a renewal row that missed the tolerance is still taken
+    when its largest estimate is below the quadrature row's.  Row 0 holds
+    the no-click probability, zero under a last-click range; rows above
+    the click cap stay zero.
 
     Returns ``(entries, meta)``; meta records the requested ``method``,
     the ``engines`` of rows 0..n_max ("closed_form" for the zero-click row
@@ -156,43 +158,65 @@ def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratur
     rows taken, and ``quad_err``, that of the quadrature rows (each None
     without any such row).
     """
+    return number_tables(config, n_max, m_max, spec, [last_click], carries)[0]
+
+
+def number_tables(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
+                  last_clicks, carries=None):
+    """``number_table`` for several last-click ranges of one carried window.
+
+    The renewal rows of every range come from one chain
+    (``renewal.fock_tables``); each ``(entries, meta)`` equals
+    ``number_table``'s for that range alone, bit for bit.
+    """
     cap = config.max_clicks()
     top = n_max if cap is None else min(cap, n_max)
-    entries = np.zeros((n_max + 1, m_max + 1))
     taus, tws = (None, None) if carries is None else carries
+    tables = [(None, None)] * len(last_clicks)
+    if spec.method == "auto" and top >= 1 and renewal.serves(config, m_max):
+        tables = renewal.fock_tables(config, top, m_max, last_clicks, carry=taus, weights=tws)
+    return [_number_table(config, n_max, m_max, spec, top, carries, last_click, value, err)
+            for last_click, (value, err) in zip(last_clicks, tables)]
+
+
+def _number_table(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
+                  top: int, carries, last_click, value, err):
+    """``number_table`` from a renewal table (``value``, ``err``; None when not run)."""
+    entries = np.zeros((n_max + 1, m_max + 1))
     if last_click is None and carries is None:
         entries[0, 0] = 1.0
     elif last_click is None:
+        taus, tws = carries
         expo0 = np.asarray(no_count_exposure(config, taus))
         entries[0, :] = tws @ power_matrix(1.0 - expo0, np.arange(m_max + 1))
-    done, renewal_err = {}, None
-    if spec.method == "auto" and top >= 1 and renewal.serves(config, m_max):
-        value, err = renewal.fock_table(config, top, m_max, carry=taus,
-                                        last_click=last_click)
-        if tws is not None:
-            value, err = np.tensordot(tws, value, 1), np.tensordot(tws, err, 1)
+    rows = range(1, top + 1)
+    if value is None:
+        todo = list(rows)
+    else:
         ok = np.all(spec.accepts(value, err), axis=1)
-        done = {n: value[n, n:] for n in range(1, top + 1) if ok[n]}
-        if done:
-            renewal_err = float(max(err[n].max() for n in done))
+        todo = [n for n in rows if not ok[n]]
 
     def compute_row(n):
         ms = np.arange(n, m_max + 1)
         perm = np.array([math.perm(int(m), n) for m in ms], dtype=float)
-        val, err = _quadrature_row(config, n, ms - n, spec, carries, last_click)
-        return perm * val, float((perm * err).max())
+        val, row_err = _quadrature_row(config, n, ms - n, spec, carries, last_click)
+        return perm * val, float((perm * row_err).max())
 
+    quad = dict(zip(todo, map_indexed(compute_row, todo)))
     engines = ["closed_form"] * (n_max + 1)
-    for n in range(1, top + 1):
-        engines[n] = "renewal" if n in done else spec.resolve_method(n)
-    todo = [n for n in range(1, top + 1) if n not in done]
-    rows = map_indexed(compute_row, todo)
-    done.update((n, vals) for n, (vals, _) in zip(todo, rows))
-    quad_err = max((err for _, err in rows), default=None)
-    for n, vals in done.items():
-        entries[n, n:] = vals
-    return entries, {"method": spec.method, "engines": engines, "renewal_err": renewal_err,
-                     "quad_err": quad_err}
+    renewal_errs, quad_errs = [], []
+    for n in rows:
+        if n in quad and (value is None or quad[n][1] <= err[n].max()):
+            entries[n, n:], row_err = quad[n]
+            engines[n] = spec.resolve_method(n)
+            quad_errs.append(row_err)
+        else:
+            entries[n, n:] = value[n, n:]
+            engines[n] = "renewal"
+            renewal_errs.append(float(err[n].max()))
+    return entries, {"method": spec.method, "engines": engines,
+                     "renewal_err": max(renewal_errs, default=None),
+                     "quad_err": max(quad_errs, default=None)}
 
 
 def poisson_weight(n: int, a: float) -> float:

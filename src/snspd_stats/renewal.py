@@ -129,7 +129,8 @@ def _scaled(config: DetectorConfig):
 
 
 def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
-           weight: Callable, click: float, n_max: int, grid: int, tilt: float = 0.0):
+           weight: Callable, click: float, n_max: int, grid: int, tilt: float = 0.0,
+           weights: Optional[np.ndarray] = None):
     """Chained weight of the n-th click on one grid, for n = 1..n_max.
 
     ``weight(elapsed, exposed)`` is a factor's weight for a stretch of
@@ -144,6 +145,11 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
     and ``length`` is what remains of the window.  A table keeps
     max(1, K - n + 1) coefficients: all a series row n needs, or its one
     value.
+
+    With ``weights`` (one per carry) the rows are the weighted sums over
+    carries that share a grid: the chain is linear in its first factor, so
+    every carry at or past the dead time (offset 0) joins one row, and the
+    rows add up to the carry average.
 
     With ``tilt`` = lambda every factor is multiplied by e^(-lambda u) on its
     grid, so the table holds the n-th click's weight times e^(-lambda j/grid);
@@ -164,6 +170,10 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
         click * weight(u, u) if c is None else
         click * xi(c / tm + t)[:, None] * weight(t, cum(c / tm + t) - cum(c / tm))
         for c, t in zip(carries, offsets[:, None] + u)])
+    if weights is not None:
+        offsets, row = np.unique(offsets, return_inverse=True)
+        table = np.stack([np.tensordot(weights[row == r], table[row == r], 1)
+                          for r in range(len(offsets))])
     for n in range(1, n_max + 1):
         yield n, 1.0 - offsets - (n - 1) * b, table
         if n < n_max:
@@ -228,19 +238,28 @@ def _richardson(level: Callable):
 
 
 def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
-                  carries: Sequence[Optional[float]], span: Tuple[float, float],
-                  grid: int, order: int, tilt: float) -> np.ndarray:
-    """[z^k] F_n in window units, shape (carries, n_max + 1, m_max), on one grid."""
+                  carries: Sequence[Optional[float]], weights: Optional[np.ndarray],
+                  spans: Sequence[Tuple[float, float]], grid: int, order: int,
+                  tilt: float) -> np.ndarray:
+    """[z^k] F_n in window units per tail span, shape (spans, rows, n_max + 1, m_max).
+
+    One chain on one grid; the rows are ``_chain``'s.
+    """
 
     def weight(elapsed, exposed):
         return _powers(np.maximum(elapsed - exposed, 0.0), m_max)
 
-    out = np.zeros((len(carries), n_max + 1, m_max))
-    for n, length, table in _chain(config, carries, weight, 1.0, n_max, grid, tilt):
-        row = _tail_integral(config, table, length, span, order, grid, weight, tilt)
-        if row is None:
+    out = None
+    for n, length, table in _chain(config, carries, weight, 1.0, n_max, grid, tilt, weights):
+        if out is None:
+            out = np.zeros((len(spans), len(table), n_max + 1, m_max))
+        tails = [_tail_integral(config, table, length, span, order, grid, weight, tilt)
+                 for span in spans]
+        if all(tail is None for tail in tails):
             break  # every later row is past the click cap
-        out[:, n, :row.shape[-1]] = row
+        for i, tail in enumerate(tails):
+            if tail is not None:
+                out[i, :, n, :tail.shape[-1]] = tail
     return out
 
 
@@ -257,17 +276,15 @@ def serves(config: DetectorConfig, m_max: int = 0) -> bool:
             and m_max <= M_MAX)
 
 
-def fock_table(config: DetectorConfig, n_max: int, m_max: int,
-               carry: Union[None, float, Sequence[float]] = None,
-               last_click: Optional[Tuple[float, float]] = None):
-    """Every P(n|m) row of a monochromatic-mode window in one pass.
+def fock_tables(config: DetectorConfig, n_max: int, m_max: int,
+                last_clicks: Sequence[Optional[Tuple[float, float]]],
+                carry: Union[None, float, Sequence[float]] = None,
+                weights: Optional[Sequence[float]] = None):
+    """``fock_table`` for several last-click ranges, read off one chain.
 
-    Returns ``(entries, err)``, both (n_max + 1, m_max + 1): entries[n, m]
-    for 1 <= n <= m, the integral ``independent.fock_row`` gives times
-    m!/(m - n)!, and a Richardson error estimate.  Row 0 and every entry
-    with m < n are zero.  ``carry`` conditions the window on a click that
-    long before its start; a 1-D array of carries gives a leading carry
-    axis.  ``last_click = (lo, hi)`` restricts the time of the n-th click.
+    Returns a list with one ``(entries, err)`` per entry of ``last_clicks``
+    (None: the whole window).  Each equals what ``fock_table`` gives for
+    that range alone, bit for bit.
     """
     if not serves(config, m_max):
         raise DomainError("the renewal engine needs a monochromatic mode, a built-in "
@@ -278,23 +295,49 @@ def fock_table(config: DetectorConfig, n_max: int, m_max: int,
     carries = [float(c) for c in carry] if batched else [None if carry is None else float(carry)]
     if any(c is not None and c < 0 for c in carries):
         raise DomainError("carry gap must be nonnegative")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if not batched or weights.shape != (len(carries),):
+            raise DomainError("carry weights need a 1-D array of carries of the same length")
     tm = config.tau_m
-    span = (0.0, 1.0) if last_click is None else (1.0 - last_click[1] / tm,
-                                                   1.0 - last_click[0] / tm)
+    spans = [(0.0, 1.0) if lc is None else (1.0 - lc[1] / tm, 1.0 - lc[0] / tm)
+             for lc in last_clicks]
     fact = np.array([math.factorial(m) for m in range(m_max + 1)], dtype=float)
     tilt = 0.0 if m_max <= _UNTILTED_M_MAX else _TILT
 
     def level(grid, order):
-        coef = _coefficients(config, n_max, m_max, carries, span, grid, order, tilt)
-        entries = np.zeros((len(carries), n_max + 1, m_max + 1))
+        coef = _coefficients(config, n_max, m_max, carries, weights, spans, grid, order, tilt)
+        entries = np.zeros(coef.shape[:3] + (m_max + 1,))
         for n in range(1, n_max + 1):
-            entries[:, n, n:] = fact[n:] * coef[:, n, :m_max - n + 1]
+            entries[..., n, n:] = fact[n:] * coef[..., n, :m_max - n + 1]
         return entries
 
     value, err = _richardson(level)
-    if not batched:
-        return value[0], err[0]
-    return value, err
+    if weights is not None:
+        # rows on different grids have independent errors; a shared grid's
+        # row sums its carries before the estimate is taken
+        value, err = value.sum(axis=1), err.sum(axis=1)
+    elif not batched:
+        value, err = value[:, 0], err[:, 0]
+    return list(zip(value, err))
+
+
+def fock_table(config: DetectorConfig, n_max: int, m_max: int,
+               carry: Union[None, float, Sequence[float]] = None,
+               last_click: Optional[Tuple[float, float]] = None,
+               weights: Optional[Sequence[float]] = None):
+    """Every P(n|m) row of a monochromatic-mode window in one pass.
+
+    Returns ``(entries, err)``, both (n_max + 1, m_max + 1): entries[n, m]
+    for 1 <= n <= m, the integral ``independent.fock_row`` gives times
+    m!/(m - n)!, and a Richardson error estimate.  Row 0 and every entry
+    with m < n are zero.  ``carry`` conditions the window on a click that
+    long before its start; a 1-D array of carries gives a leading carry
+    axis, or with ``weights`` (one per carry) their weighted sum, whose
+    estimate is the sum of the chain rows' (``_chain``).
+    ``last_click = (lo, hi)`` restricts the time of the n-th click.
+    """
+    return fock_tables(config, n_max, m_max, [last_click], carry, weights)[0]
 
 
 def coherent_table(config: DetectorConfig, n_max: int, a: float,

@@ -7,7 +7,7 @@ import pytest
 from snspd_stats import (CwConfig, DetectorConfig, DomainError, EfficiencyProfile,
                          ModeProfile, QuadratureSpec, carryover_matrix,
                          coherent_click_probability, coherent_click_probability_after_gap,
-                         cond_prob_matrix, last_click_density)
+                         cond_prob_matrix, last_click_density, renewal)
 from snspd_stats.continuous import _carry_nodes, memory_kernels, resolve_delta
 from snspd_stats.independent import (coherent_row, coherent_rows, deadtime_closed_form,
                                      fock_row, number_table, same_count_probability)
@@ -74,9 +74,12 @@ def test_exp_columns_sum_to_one():
     assert mat.meta["method"] == "auto"
 
 
+FAST = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 5e-6))
+
+
 def test_quadrature_rows_report_their_error():
-    # dead time 0.05 at m_max 32: the estimate rejects rows 14-20, which fall back
-    mat = cond_prob_matrix(DEAD, m_max=32, spec=SPEC)
+    # a recovery far faster than the grid step: rows 2-4 fall back to quadrature
+    mat = cond_prob_matrix(FAST, n_max=4, m_max=4, spec=SPEC)
     fallback = [n for n, e in enumerate(mat.meta["engines"]) if e not in ("renewal", "closed_form")]
     assert fallback
     assert isinstance(mat.meta["quad_err"], float) and mat.meta["quad_err"] > 0.0
@@ -136,11 +139,24 @@ def _clipped_gauss_rows(config, n_max, m_max, spec):
 
 def test_rejected_rows_fall_back_bit_for_bit():
     # a recovery far faster than the grid step: the estimate flags rows 2-4
+    # (renewal 2.8e-3 against the quadrature rows' 2.1e-5)
     fast = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 5e-6))
     mat = cond_prob_matrix(fast, n_max=4, m_max=4, spec=SPEC)
     assert mat.meta["engines"][2:] == ["nested_gauss"] * 3
     ref = _clipped_gauss_rows(fast, 4, 4, SPEC)
     assert np.array_equal(mat.entries[2:], ref[2:])
+
+
+def test_dead_time_keeps_the_better_row():
+    # the estimate rejects rows 14-19, but it is below their Sobol rows' (1e-3),
+    # which are up to 7.2e-4 off the closed form
+    mat = cond_prob_matrix(DEAD, m_max=64, spec=SPEC)
+    closed = np.array([[deadtime_closed_form(DEAD, n, m) for m in range(65)]
+                       for n in range(mat.n_max + 1)])
+    assert np.abs(mat.entries - closed).max() < 1e-4
+    assert mat.meta["engines"][1:19] == ["renewal"] * 18
+    # the kept rows missed the tolerance; their estimates (up to 1.3e-5) are recorded
+    assert 1e-6 < mat.meta["renewal_err"] < 1e-4
 
 
 def test_unserved_configurations_fall_back_bit_for_bit():
@@ -193,6 +209,73 @@ def test_kernel_meta_records_both_tables():
     assert kern.meta["engines"]["b"] == ["closed_form"] + ["renewal"] * 6
     assert kern.meta["renewal_err"] == {"a": fresh["renewal_err"], "b": carried["renewal_err"]}
     assert 0.0 < kern.meta["renewal_err"]["b"] < 1e-8
+
+
+def _carry_average(config, m_max, carries, last_click):
+    """Carry-averaged fock_table and the weighted per-carry batch, each with its estimate."""
+    taus, tws = carries
+    top = min(8, config.max_clicks())
+    value, err = fock_table(config, top, m_max, carry=taus, last_click=last_click, weights=tws)
+    block, block_err = fock_table(config, top, m_max, carry=taus, last_click=last_click)
+    return value, err, np.tensordot(tws, block, 1), np.tensordot(tws, block_err, 1)
+
+
+@pytest.mark.parametrize("kind", ["exp", "dead"])
+@pytest.mark.parametrize("last_click", [None, (0.7, 1.0)])
+def test_carry_average_matches_the_per_carry_batch(kind, last_click):
+    # carries at or past the dead time share a grid and are summed into one
+    # chain row; the average and its estimate follow the per-carry tables
+    config = _config(kind, 0.05)
+    carries = _carry_nodes(config, 0.3)
+    value, err, ref, ref_err = _carry_average(config, 11, carries, last_click)
+    assert np.abs(value - ref).max() < 1e-13
+    assert np.all(err <= ref_err + 1e-13)  # both move by round-off
+    top = len(value) - 1
+    entries, meta = number_table(config, top, 11, SPEC, carries=carries, last_click=last_click)
+    assert meta["engines"] == ["closed_form"] + ["renewal"] * top
+    assert np.array_equal(entries[1:], value[1:])
+
+
+@pytest.mark.parametrize("kind", ["exp", "dead"])
+@pytest.mark.parametrize("last_click", [None, (0.7, 1.0)])
+def test_tilted_carry_average_matches_the_per_carry_batch(kind, last_click):
+    # the tilted chain's row-2 round-off (up to 3e-8 on dead time) depends on
+    # whether carries are summed before or after it; the two agree inside
+    # the tolerance the rows are taken at
+    carries = np.array(CARRIES), np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+    value, _, ref, _ = _carry_average(_config(kind, 0.05), 40, carries, last_click)
+    diff = np.abs(value - ref)
+    assert diff.max() < 1e-7
+    assert np.all(SPEC.accepts(value, diff))
+
+
+@pytest.mark.parametrize("config", [EXP, DEAD], ids=["exp", "dead"])
+def test_kernels_share_one_carried_chain(config, monkeypatch):
+    chain, rows = renewal._chain, []
+
+    def spy(*args, **kwargs):
+        for i, step in enumerate(chain(*args, **kwargs)):
+            if i == 0:
+                rows.append(len(step[2]))
+            yield step
+
+    monkeypatch.setattr(renewal, "_chain", spy)
+    cw = CwConfig(delta=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kern = memory_kernels(config, cw, m_max=8, spec=SPEC)
+    # fresh and carried chains on three grids each; 6 near carries and one
+    # row for the 10 carries past the dead time
+    assert sorted(rows) == [1, 1, 1, 7, 7, 7]
+    monkeypatch.setattr(renewal, "_chain", chain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        alone = carryover_matrix(config, cw, m_max=8, spec=SPEC)
+    assert np.array_equal(kern.d_matrix.entries, alone.entries)
+    assert kern.d_matrix.meta == alone.meta
+    carried, _ = number_table(config, 8, 8, SPEC, last_click=(1.0 - cw.delta, 1.0),
+                              carries=_carry_nodes(config, cw.delta))
+    assert np.array_equal(kern.b_m, 1.0 - carried.sum(axis=0))
 
 
 def test_dead_time_carryover_matches_exact_mixture():

@@ -80,10 +80,12 @@ OUTPUTS = {
     "matrix exp m_max 20": lambda: cond_prob_matrix(EXP, m_max=20, spec=SPEC).entries,
     "matrix exp m_max 40": lambda: cond_prob_matrix(EXP, m_max=40, spec=SPEC).entries,
     "matrix dead m_max 12": lambda: cond_prob_matrix(DEAD, m_max=12, spec=SPEC).entries,
+    "matrix dead m_max 64": lambda: cond_prob_matrix(DEAD, m_max=64, spec=SPEC).entries,
     "matrix tabulated m_max 6":
         lambda: cond_prob_matrix(TABULATED, m_max=6, spec=SPEC).entries,
     "carryover exp m_max 8": lambda: carryover_matrix(EXP, CW, m_max=8, spec=SPEC).entries,
     "kernels exp m_max 8 (a|b|c|D)": lambda: _kernels(EXP, 8),
+    "kernels exp m_max 11 (a|b|c|D), the cw workload's": lambda: _kernels(EXP, 11),
     "coherent exp/dead/lossy/tabulated/ideal n 0-7 alpha^2 3": _coherent,
     "after_gap exp/dead/ideal n 0-6 six carries alpha^2 3": _after_gap,
     "last_click exp a 4": lambda: last_click_density(EXP, 4.0, OFFSETS, SPEC),
