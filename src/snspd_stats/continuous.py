@@ -41,8 +41,7 @@ from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
 from .independent import (DEFAULT_SPEC, click_distribution_independent,
                           coherent_integral, coherent_row, coherent_rows, cond_prob_matrix,
-                          fock_row, number_table, number_tables, reduced_spec,
-                          resolve_n_max)
+                          number_table, number_tables, resolve_n_max)
 from .quadrature import QuadratureSpec, _gauss
 from .results import ClickDistribution, ConditionalMatrix
 from .states import PhotonNumberDist
@@ -344,8 +343,8 @@ def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
             if n in served:
                 term = float(served[n][j])
             else:
-                term = coherent_integral(config, n, a, reduced_spec(spec, n - 1),
-                                         carry=carry, last_click=float(pin))
+                term = coherent_integral(config, n, a, spec, carry=carry,
+                                         last_click=float(pin))
             total += term
             if n > a and term < 1e-9 * max(total, 1e-300):
                 break
@@ -359,20 +358,16 @@ def last_click_density_fock(config: DetectorConfig, m: int, tau,
     """Number-basis last-click density at offset tau given m photons.
 
     Integrating this over [0, Delta] gives 1 - a_m (or 1 - b_m when the
-    carry is itself averaged), which the tests use as an independent check
-    on the kernel computation.
+    carry is itself averaged).  Every offset is a pinned last click of one
+    ``number_tables`` call, so under ``auto`` the density comes from the
+    renewal chain the kernels use; an explicit ``nested_gauss`` or
+    ``qmc_sobol`` spec bypasses the engine and gives the quadrature
+    reference that the tests check a_m against.
     """
     if m < 0:
         raise DomainError("photon number must be nonnegative")
     taus = _offsets(config, tau, carry)
-    cap = config.max_clicks()
-    n_rows = m if cap is None else min(cap, m)
-    out = np.zeros(len(taus))
-    for j, t in enumerate(taus):
-        total = 0.0
-        for n in range(1, n_rows + 1):
-            row, _ = fock_row(config, n, np.array([m - n]), reduced_spec(spec, n - 1),
-                              carry=carry, last_click=config.tau_m - float(t))
-            total += math.perm(m, n) * float(row[0])
-        out[j] = total
+    carries = None if carry is None else (np.array([float(carry)]), np.array([1.0]))
+    tables = number_tables(config, m, m, spec, [config.tau_m - float(t) for t in taus], carries)
+    out = np.array([entries[:, m].sum() for entries, _ in tables])
     return out if np.ndim(tau) else float(out[0])

@@ -42,7 +42,6 @@ from .weights import no_count_exposure, window_integral
 DEFAULT_SPEC = QuadratureSpec()
 
 _EXPOSURE_RAISE = 1e-9  # exposure above 1 by more than this is a hard error
-_REDUCED_QMC = 8192      # Sobol budget floor for carried or restricted rows
 
 
 def power_matrix(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -87,16 +86,9 @@ def resolve_n_max(config: DetectorConfig, n_max: Optional[int], m_max: int) -> i
     return n_max
 
 
-def reduced_spec(spec: QuadratureSpec, dims: int) -> QuadratureSpec:
-    """Spec for a carried or last-click-restricted integral over ``dims`` click times.
-
-    Up to five dimensions (nested Gauss under ``auto``) the spec is used as
-    given; beyond, the Sobol budget is cut to a sixteenth, at least
-    _REDUCED_QMC samples.
-    """
-    if dims <= 5:
-        return spec
-    return replace(spec, qmc_samples=max(_REDUCED_QMC, spec.qmc_samples // 16))
+def _free_times(n: int, last_click) -> int:
+    """Click times a row integrates over: n, or n - 1 with the n-th pinned."""
+    return n - 1 if last_click is not None and np.ndim(last_click) == 0 else n
 
 
 def _quadrature_row(config: DetectorConfig, n: int, exps: np.ndarray,
@@ -107,28 +99,28 @@ def _quadrature_row(config: DetectorConfig, n: int, exps: np.ndarray,
     integrands are evaluated jointly on shared quadrature nodes.  Shorter
     carries shrink the support; they are integrated per node (the plain
     Gauss ladder in low dimension, a tilted Sobol pass otherwise, which is
-    plenty for their 1/6 share of the average).
+    plenty for their 1/6 share of the average).  ``window_integral``
+    picks the Sobol budget.
 
     Returns ``(value, error)``, the error estimates weighted as the values.
     """
     if carries is None:
-        use = spec if last_click is None else reduced_spec(spec, n)
-        return fock_row(config, n, exps, use, last_click=last_click)
+        return fock_row(config, n, exps, spec, last_click=last_click)
     taus, tws = carries
     td = config.efficiency.breakpoint or 0.0
+    free = _free_times(n, last_click)
     out, out_err = np.zeros(len(exps)), np.zeros(len(exps))
-    near = taus < td if spec.resolve_method(n) == "nested_gauss" else np.zeros(len(taus), bool)
+    near = taus < td if spec.resolve_method(free) == "nested_gauss" else np.zeros(len(taus), bool)
     for tau, wt in zip(taus[near], tws[near]):
         # per-node rows leave nested Gauss one dimension early
-        use = spec if n <= 4 else reduced_spec(replace(spec, method="qmc_sobol"), n + 1)
+        use = spec if free <= 4 else replace(spec, method="qmc_sobol")
         val, err = fock_row(config, n, exps, use, carry=float(tau), last_click=last_click)
         out += wt * val
         out_err += wt * err
     far_t, far_w = taus[~near], tws[~near]
     block = max(1, 64 // max(1, len(exps)))
-    use = reduced_spec(spec, n)
     for b0 in range(0, len(far_t), block):
-        val, err = fock_row(config, n, exps, use, carry=far_t[b0:b0 + block],
+        val, err = fock_row(config, n, exps, spec, carry=far_t[b0:b0 + block],
                             last_click=last_click)
         out += far_w[b0:b0 + block] @ val
         out_err += far_w[b0:b0 + block] @ err
@@ -141,40 +133,39 @@ def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratur
 
     The window is entered with the carry average ``carries`` (taus,
     weights), fresh when None; ``last_click`` (lo, hi) restricts its n-th
-    click.  Under ``spec.method == "auto"`` a row comes from ``renewal.fock_table``
-    when the engine serves the configuration and every entry of the row
-    meets ``spec``'s tolerance against its error estimate.  Other rows
-    n = 1..n_max are integrated independently (threaded when configured),
-    at the ``reduced_spec`` budget when the window is carried or
-    restricted; a renewal row that missed the tolerance is still taken
-    when its largest estimate is below the quadrature row's.  Row 0 holds
-    the no-click probability, zero under a last-click range; rows above
-    the click cap stay zero.
+    click, and a float pins it there (each entry is then the density in
+    that time).  Under ``spec.method == "auto"`` a row comes from
+    ``renewal.fock_table`` when the engine serves the configuration and
+    every entry of the row meets ``spec``'s tolerance against its error
+    estimate.  Other rows n = 1..n_max are integrated independently
+    (threaded when configured); a renewal row that missed the tolerance
+    is still taken when its largest estimate is below the quadrature
+    row's.  Row 0 holds the no-click probability, zero under a last
+    click; rows above the click cap stay zero.
 
     Returns ``(entries, meta)``; meta records the requested ``method``,
     the ``engines`` of rows 0..n_max ("closed_form" for the zero-click row
-    and rows above the cap, else "renewal" or the resolved quadrature
-    method), ``renewal_err``, the largest error estimate of the renewal
-    rows taken, and ``quad_err``, that of the quadrature rows (each None
-    without any such row).
+    and rows above the cap, else "renewal" or the quadrature method the
+    row's free click times resolve to), ``renewal_err``, the largest error
+    estimate of the renewal rows taken, and ``quad_err``, that of the
+    quadrature rows (each None without any such row).
     """
     return number_tables(config, n_max, m_max, spec, [last_click], carries)[0]
 
 
 def number_tables(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
                   last_clicks, carries=None):
-    """``number_table`` for several last-click ranges of one carried window.
+    """``number_table`` for several last clicks (ranges or pins) of one window.
 
-    The renewal rows of every range come from one chain
+    The renewal rows of every last click come from one chain
     (``renewal.fock_tables``); each ``(entries, meta)`` equals
     ``number_table``'s for that range alone, bit for bit.
     """
     cap = config.max_clicks()
     top = n_max if cap is None else min(cap, n_max)
-    taus, tws = (None, None) if carries is None else carries
     tables = [(None, None)] * len(last_clicks)
     if spec.method == "auto" and top >= 1 and renewal.serves(config, m_max):
-        tables = renewal.fock_tables(config, top, m_max, last_clicks, carry=taus, weights=tws)
+        tables = renewal.fock_tables(config, top, m_max, last_clicks, carries)
     return [_number_table(config, n_max, m_max, spec, top, carries, last_click, value, err)
             for last_click, (value, err) in zip(last_clicks, tables)]
 
@@ -208,7 +199,7 @@ def _number_table(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratu
     for n in rows:
         if n in quad and (value is None or quad[n][1] <= err[n].max()):
             entries[n, n:], row_err = quad[n]
-            engines[n] = spec.resolve_method(n)
+            engines[n] = spec.resolve_method(_free_times(n, last_click))
             quad_errs.append(row_err)
         else:
             entries[n, n:] = value[n, n:]
@@ -339,11 +330,9 @@ def regular_irregular_split(config: DetectorConfig, n: int, m: int,
         return 0.0, 0.0
 
     boundary = config.tau_m - config.efficiency.tau_d  # latest regular last click
-    perm = float(math.perm(m, n))
-    exps = np.array([m - n])
-    reg, _ = fock_row(config, n, exps, spec, last_click=(0.0, boundary))
-    irr, _ = fock_row(config, n, exps, spec, last_click=(boundary, config.tau_m))
-    return perm * float(reg[0]), perm * float(irr[0])
+    (reg, _), (irr, _) = number_tables(config, n, m, spec,
+                                       [(0.0, boundary), (boundary, config.tau_m)])
+    return float(reg[n, m]), float(irr[n, m])
 
 
 def _binom_weight(m: int, k: int, eta: float) -> float:

@@ -293,15 +293,6 @@ def integrate_ordered(
     if tau_m <= 0:
         raise DomainError("tau_m must be positive")
     L = tau_m - first_offset - (n - 1) * lower_gap
-    scalar = None
-
-    def wrapped(T):
-        nonlocal scalar
-        vals = np.asarray(f(T), dtype=float)
-        if scalar is None:
-            scalar = vals.ndim == 1
-        return vals
-
     if L <= 0:
         return 0.0, 0.0
     lo, hi = (0.0, L) if outer_range is None else outer_range
@@ -315,10 +306,10 @@ def integrate_ordered(
         # order ladder: climb until the tolerance is met, gauss_order caps it
         g = spec.gauss_order
         ladder = sorted({min(g, max(4, g // 4)), min(g, max(6, g // 2)), g})
-        value = _nested_pass(wrapped, n, ladder[0], panels, first_offset, lower_gap)
+        value = _nested_pass(f, n, ladder[0], panels, first_offset, lower_gap)
         err = np.abs(np.asarray(value))
         for order in ladder[1:]:
-            nxt = _nested_pass(wrapped, n, order, panels, first_offset, lower_gap)
+            nxt = _nested_pass(f, n, order, panels, first_offset, lower_gap)
             err = np.abs(np.asarray(nxt) - np.asarray(value))
             value = nxt
             if np.all(spec.accepts(value, err)):
@@ -331,12 +322,12 @@ def integrate_ordered(
         if restricted:
             panels = _panels(lo, hi, outer_splits)
             value, err = _qmc_restricted_pass(
-                wrapped, n, panels, min(spec.gauss_order, 24), n_rep,
+                f, n, panels, min(spec.gauss_order, 24), n_rep,
                 _QMC_REPLICATES, spec.seed, first_offset, lower_gap)
         else:
-            value, err = _qmc_pass(wrapped, n, L, n_rep, _QMC_REPLICATES,
+            value, err = _qmc_pass(f, n, L, n_rep, _QMC_REPLICATES,
                                    spec.seed, first_offset, lower_gap, gap_tilt)
 
-    if scalar:
-        return float(np.asarray(value)), float(np.asarray(err))
+    if np.ndim(value) == 0:
+        return float(value), float(err)
     return np.asarray(value, dtype=float), np.asarray(err, dtype=float)

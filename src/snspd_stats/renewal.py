@@ -28,8 +28,9 @@ Gaps are shifted by the dead time b and the first click by the support
 plan's offset, which leaves every gap factor smooth on the grid whatever b
 is.  Convolutions are trapezoid sums taken by FFT; the last one, against
 the tail factor that kinks at s = b, is a Gauss rule split there, with the
-chained table read off a local interpolant.  Tables at three grid sizes
-give a Richardson value and an error estimate.
+chained table read off a local interpolant.  Read at one tail length
+instead, the table gives the density in the time of a pinned last click.
+Tables at three grid sizes give a Richardson value and an error estimate.
 
 At a fixed mean a, coherent light needs no z-series: e^(-a exposure)
 factors into one number per gap and for the tail, so the same chain with
@@ -225,6 +226,18 @@ def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray
     return np.einsum("cp,cpk->ck", ws, _with_tail(config, table, length, s, grid, weight, tilt))
 
 
+def _pinned(config: DetectorConfig, table: np.ndarray, length: np.ndarray, s: float,
+            grid: int, weight: Callable, tilt: float = 0.0) -> Optional[np.ndarray]:
+    """(C, k) density in the time of an n-th click pinned at tail length s.
+
+    None when no carry leaves room for the click.
+    """
+    if np.all(length < s):
+        return None
+    return _with_tail(config, table, length, np.full((len(length), 1), s), grid,
+                      weight, tilt)[:, 0] / config.tau_m
+
+
 def _richardson(level: Callable):
     """Richardson value over grids N, 2N, 4N and its distance from the coarser pair's.
 
@@ -239,11 +252,13 @@ def _richardson(level: Callable):
 
 def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
                   carries: Sequence[Optional[float]], weights: Optional[np.ndarray],
-                  spans: Sequence[Tuple[float, float]], grid: int, order: int,
+                  tails: Sequence[Union[float, Tuple[float, float]]], grid: int, order: int,
                   tilt: float) -> np.ndarray:
-    """[z^k] F_n in window units per tail span, shape (spans, rows, n_max + 1, m_max).
+    """[z^k] F_n in window units per tail, shape (tails, rows, n_max + 1, m_max).
 
-    One chain on one grid; the rows are ``_chain``'s.
+    One chain on one grid; the rows are ``_chain``'s.  A tail span (lo, hi)
+    integrates the tail length over it; a float tail length pins the n-th
+    click, and its entry is the density in that click's time.
     """
 
     def weight(elapsed, exposed):
@@ -252,14 +267,15 @@ def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
     out = None
     for n, length, table in _chain(config, carries, weight, 1.0, n_max, grid, tilt, weights):
         if out is None:
-            out = np.zeros((len(spans), len(table), n_max + 1, m_max))
-        tails = [_tail_integral(config, table, length, span, order, grid, weight, tilt)
-                 for span in spans]
-        if all(tail is None for tail in tails):
+            out = np.zeros((len(tails), len(table), n_max + 1, m_max))
+        rows = [_tail_integral(config, table, length, tail, order, grid, weight, tilt)
+                if np.ndim(tail) else _pinned(config, table, length, tail, grid, weight, tilt)
+                for tail in tails]
+        if all(row is None for row in rows):
             break  # every later row is past the click cap
-        for i, tail in enumerate(tails):
-            if tail is not None:
-                out[i, :, n, :tail.shape[-1]] = tail
+        for i, row in enumerate(rows):
+            if row is not None:
+                out[i, :, n, :row.shape[-1]] = row
     return out
 
 
@@ -277,67 +293,60 @@ def serves(config: DetectorConfig, m_max: int = 0) -> bool:
 
 
 def fock_tables(config: DetectorConfig, n_max: int, m_max: int,
-                last_clicks: Sequence[Optional[Tuple[float, float]]],
-                carry: Union[None, float, Sequence[float]] = None,
-                weights: Optional[Sequence[float]] = None):
-    """``fock_table`` for several last-click ranges, read off one chain.
+                last_clicks: Sequence[Union[None, float, Tuple[float, float]]],
+                carries: Optional[Tuple[Sequence[float], Sequence[float]]] = None):
+    """``fock_table`` for several last clicks of one window, read off one chain.
 
-    Returns a list with one ``(entries, err)`` per entry of ``last_clicks``
-    (None: the whole window).  Each equals what ``fock_table`` gives for
-    that range alone, bit for bit.
+    Returns a list with one ``(entries, err)`` per entry of ``last_clicks``.
+    Each equals what ``fock_table`` gives for that entry alone, bit for bit.
     """
     if not serves(config, m_max):
         raise DomainError("the renewal engine needs a monochromatic mode, a built-in "
                           f"recovery profile and m_max <= {M_MAX}")
     if not 0 <= n_max <= m_max:
         raise DomainError("the renewal engine needs 0 <= n_max <= m_max")
-    batched = carry is not None and np.ndim(carry) > 0
-    carries = [float(c) for c in carry] if batched else [None if carry is None else float(carry)]
-    if any(c is not None and c < 0 for c in carries):
-        raise DomainError("carry gap must be nonnegative")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if not batched or weights.shape != (len(carries),):
-            raise DomainError("carry weights need a 1-D array of carries of the same length")
+    taus, weights = [None], None
+    if carries is not None:
+        taus, weights = [float(c) for c in carries[0]], np.asarray(carries[1], dtype=float)
+        if any(c < 0 for c in taus):
+            raise DomainError("carry gap must be nonnegative")
+        if weights.shape != (len(taus),):
+            raise DomainError("carry weights need one weight per carry")
     tm = config.tau_m
-    spans = [(0.0, 1.0) if lc is None else (1.0 - lc[1] / tm, 1.0 - lc[0] / tm)
+    tails = [(0.0, 1.0) if lc is None else
+             (tm - lc) / tm if np.ndim(lc) == 0 else (1.0 - lc[1] / tm, 1.0 - lc[0] / tm)
              for lc in last_clicks]
     fact = np.array([math.factorial(m) for m in range(m_max + 1)], dtype=float)
     tilt = 0.0 if m_max <= _UNTILTED_M_MAX else _TILT
 
     def level(grid, order):
-        coef = _coefficients(config, n_max, m_max, carries, weights, spans, grid, order, tilt)
+        coef = _coefficients(config, n_max, m_max, taus, weights, tails, grid, order, tilt)
         entries = np.zeros(coef.shape[:3] + (m_max + 1,))
         for n in range(1, n_max + 1):
             entries[..., n, n:] = fact[n:] * coef[..., n, :m_max - n + 1]
         return entries
 
     value, err = _richardson(level)
-    if weights is not None:
-        # rows on different grids have independent errors; a shared grid's
-        # row sums its carries before the estimate is taken
-        value, err = value.sum(axis=1), err.sum(axis=1)
-    elif not batched:
-        value, err = value[:, 0], err[:, 0]
-    return list(zip(value, err))
+    # rows on different grids have independent errors; a shared grid's row
+    # sums its carries before the estimate is taken
+    return list(zip(value.sum(axis=1), err.sum(axis=1)))
 
 
 def fock_table(config: DetectorConfig, n_max: int, m_max: int,
-               carry: Union[None, float, Sequence[float]] = None,
-               last_click: Optional[Tuple[float, float]] = None,
-               weights: Optional[Sequence[float]] = None):
+               carries: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
+               last_click: Union[None, float, Tuple[float, float]] = None):
     """Every P(n|m) row of a monochromatic-mode window in one pass.
 
     Returns ``(entries, err)``, both (n_max + 1, m_max + 1): entries[n, m]
     for 1 <= n <= m, the integral ``independent.fock_row`` gives times
     m!/(m - n)!, and a Richardson error estimate.  Row 0 and every entry
-    with m < n are zero.  ``carry`` conditions the window on a click that
-    long before its start; a 1-D array of carries gives a leading carry
-    axis, or with ``weights`` (one per carry) their weighted sum, whose
-    estimate is the sum of the chain rows' (``_chain``).
-    ``last_click = (lo, hi)`` restricts the time of the n-th click.
+    with m < n are zero.  ``carries = (taus, weights)`` enters the window
+    with that weighted sum over clicks taus before its start; its estimate
+    is the sum of the chain rows' (``_chain``).  ``last_click = (lo, hi)``
+    restricts the time of the n-th click; a float pins it there, and
+    entries[n, m] is the density in that time with no click after it.
     """
-    return fock_tables(config, n_max, m_max, [last_click], carry, weights)[0]
+    return fock_tables(config, n_max, m_max, [last_click], carries)[0]
 
 
 def coherent_table(config: DetectorConfig, n_max: int, a: float,

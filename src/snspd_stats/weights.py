@@ -22,7 +22,7 @@ the advertised dead-time breakpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,6 +32,10 @@ from .errors import DomainError
 from .quadrature import OrderedTimes, QuadratureSpec, _gauss, integrate_ordered
 
 ArrayLike = Union[float, np.ndarray]
+
+# Sobol budget of a carried, restricted or pinned window: a sixteenth of the
+# spec's, at least this many samples
+_REDUCED_QMC = 8192
 
 
 @dataclass(frozen=True)
@@ -265,9 +269,13 @@ def window_integral(config: DetectorConfig, n: int,
     n-1 free times of a pinned integral use the same plan up to the pin
     less the lower gap; for n = 1 the single tuple is evaluated.
 
+    A carried, restricted or pinned window whose pass is Sobol runs at a
+    sixteenth of ``spec.qmc_samples``, at least _REDUCED_QMC samples.
+
     Returns ``(value, error)`` like ``integrate_ordered``: a scalar zero
     pair when the support is empty.
     """
+    narrowed = carry is not None or last_click is not None
     carries = None
     if carry is not None and np.ndim(carry):
         carries, carry = [float(c) for c in carry], None
@@ -302,6 +310,9 @@ def window_integral(config: DetectorConfig, n: int,
                                     for t in last_click)
             if plan.outer_split is not None:
                 splits = [plan.outer_split]
+        if (narrowed and spec.method != "nested_gauss"
+                and spec.resolve_method(dims) == "qmc_sobol"):
+            spec = replace(spec, qmc_samples=max(_REDUCED_QMC, spec.qmc_samples // 16))
         val, err = integrate_ordered(dims, length, f, spec,
                                      lower_gap=plan.lower_gap,
                                      first_offset=plan.first_offset,

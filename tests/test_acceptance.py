@@ -16,8 +16,7 @@ from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile,
                          click_distribution_cw, click_distribution_independent,
                          coherent_click_probability, cond_prob_matrix,
                          deadtime_closed_form, empirical_distribution,
-                         last_click_density, memory_kernels,
-                         memory_probability_q, photon_number_dist,
+                         last_click_density, memory_kernels, photon_number_dist,
                          reconstruct_details, same_count_probability,
                          simulate_interpulse_gaps, squeezed_distribution_direct)
 from snspd_stats.cli import main as cli_main

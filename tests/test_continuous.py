@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from snspd_stats import (ConsistencyError, CwConfig, DetectorConfig, ModeProfile,
+from snspd_stats import (CwConfig, DetectorConfig, ModeProfile,
                          DomainError, EfficiencyProfile, MemoryKernels,
                          QuadratureSpec, StateSpec, carryover_matrix,
                          click_distribution_cw, click_distribution_independent,
@@ -14,7 +15,6 @@ from snspd_stats import (ConsistencyError, CwConfig, DetectorConfig, ModeProfile
                          photon_number_dist, resolve_delta)
 from snspd_stats.independent import fock_row, regular_irregular_split
 from snspd_stats.quadrature import _gauss
-from snspd_stats.results import ConditionalMatrix
 
 SPEC = QuadratureSpec()
 EXP = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2))
@@ -110,13 +110,13 @@ class TestMemoryKernels:
         assert np.abs(kern.a_m - ref).max() <= 1e-15
 
     def test_fresh_kernel_against_pinned_density(self, exp_kernels):
-        # independent route: integrate the last-click density over the
-        # memory interval
+        # independent route: integrate the nested-Gauss last-click density
+        # over the memory interval (under auto it reads the kernels' chain)
         x, w = _gauss(16)
         total = 0.0
         for lo, hi in [(0.0, 0.05), (0.05, 0.1), (0.1, 0.2), (0.2, 0.3)]:
             taus = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-            vals = last_click_density_fock(EXP, 4, taus, SPEC)
+            vals = last_click_density_fock(EXP, 4, taus, replace(SPEC, method="nested_gauss"))
             total += 0.5 * (hi - lo) * float(w @ vals)
         assert 1.0 - exp_kernels.a_m[4] == pytest.approx(total, abs=1e-6)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snspd_stats import (ConsistencyError, DetectorConfig, DomainError,
+from snspd_stats import (DetectorConfig, DomainError,
                          EfficiencyProfile, ModeProfile, QuadratureSpec,
                          StateSpec, click_distribution_independent,
                          coherent_click_probability, cond_prob_matrix,

@@ -10,7 +10,8 @@ from snspd_stats import (CwConfig, DetectorConfig, DomainError, EfficiencyProfil
                          cond_prob_matrix, last_click_density, renewal)
 from snspd_stats.continuous import _carry_nodes, memory_kernels, resolve_delta
 from snspd_stats.independent import (coherent_row, coherent_rows, deadtime_closed_form,
-                                     fock_row, number_table, same_count_probability)
+                                     fock_row, number_table, number_tables,
+                                     regular_irregular_split, same_count_probability)
 from snspd_stats.quadrature import _gauss
 from snspd_stats.renewal import M_MAX, coherent_table, fock_table
 from snspd_stats.weights import window_integral
@@ -47,13 +48,10 @@ def test_matches_nested_gauss(kind, tau_d, last_click):
     top = min(5, config.max_clicks())
     value, _ = fock_table(config, top, 8, last_click=last_click)
     assert np.abs(value - _gauss_rows(config, top, 8, GAUSS, last_click=last_click)).max() < 1e-9
-    block, block_err = fock_table(config, top, 8, carry=np.array(CARRIES),
-                                  last_click=last_click)
-    for c, row, row_err in zip(CARRIES, block, block_err):
+    for c in CARRIES:
+        row, row_err = fock_table(config, top, 8, ([c], [1.0]), last_click)
         ref = _gauss_rows(config, top, 8, GAUSS, carry=c, last_click=last_click)
         assert np.abs(row - ref).max() < 1e-9
-        single, _ = fock_table(config, top, 8, carry=c, last_click=last_click)
-        np.testing.assert_allclose(single, row, rtol=1e-13, atol=1e-16)
         assert np.all(row_err <= SPEC.rel_tol * np.abs(row) + SPEC.abs_tol)
 
 
@@ -100,17 +98,18 @@ def test_tilted_tables_serve_every_row(tilted_matrix):
         assert abs(tilted_matrix.entries[n, n] - same_count_probability(EXP, n)) < 1e-8
 
 
-@pytest.mark.parametrize("carry", [None, 0.02, np.array([0.004, 0.29])],
+@pytest.mark.parametrize("carries", [None, ([0.02], [1.0]), ([0.004, 0.29], [0.5, 0.5])],
                          ids=["fresh", "0.02", "batch"])
 @pytest.mark.parametrize("last_click", [None, (0.7, 1.0)])
-def test_tilted_rows_match_nested_gauss(carry, last_click):
+def test_tilted_rows_match_nested_gauss(carries, last_click):
     # the tilt's discretisation error peaks on row 2 (5.5e-9 at P(2|2)),
     # far inside the tolerance the rows are taken at
-    value, err = fock_table(EXP, 5, 40, carry=carry, last_click=last_click)
+    value, err = fock_table(EXP, 5, 40, carries, last_click)
     assert np.all(SPEC.accepts(value, err))
-    refs = [_gauss_rows(EXP, 5, 40, GAUSS, carry=c, last_click=last_click)
-            for c in np.atleast_1d(carry)]
-    diff = np.abs(value - (refs if np.ndim(carry) else refs[0]))
+    taus, tws = ([None], [1.0]) if carries is None else carries
+    ref = sum(wt * _gauss_rows(EXP, 5, 40, GAUSS, carry=c, last_click=last_click)
+              for c, wt in zip(taus, tws))
+    diff = np.abs(value - ref)
     assert diff.max() < 1e-8
     assert np.all(SPEC.accepts(value, diff))
 
@@ -125,7 +124,7 @@ def test_same_count_matches_renewal_diagonal():
 
 
 def test_exact_zeros():
-    value, err = fock_table(EXP, 6, 9, carry=0.02, last_click=(0.7, 1.0))
+    value, err = fock_table(EXP, 6, 9, ([0.02], [1.0]), (0.7, 1.0))
     assert np.all(value[0] == 0.0) and np.all(err[0] == 0.0)
     for n in range(1, 7):
         assert np.all(value[n, :n] == 0.0)
@@ -212,11 +211,12 @@ def test_kernel_meta_records_both_tables():
 
 
 def _carry_average(config, m_max, carries, last_click):
-    """Carry-averaged fock_table and the weighted per-carry batch, each with its estimate."""
+    """Carry-averaged fock_table and the weighted per-carry tables, each with its estimate."""
     taus, tws = carries
     top = min(8, config.max_clicks())
-    value, err = fock_table(config, top, m_max, carry=taus, last_click=last_click, weights=tws)
-    block, block_err = fock_table(config, top, m_max, carry=taus, last_click=last_click)
+    value, err = fock_table(config, top, m_max, carries, last_click)
+    block, block_err = zip(*(fock_table(config, top, m_max, ([c], [1.0]), last_click)
+                             for c in taus))
     return value, err, np.tensordot(tws, block, 1), np.tensordot(tws, block_err, 1)
 
 
@@ -294,9 +294,74 @@ def test_dead_time_carryover_matches_exact_mixture():
     assert np.abs(mat.entries - ref).max() < 1e-9
 
 
-# -- fixed-mean coherent chain ----------------------------------------------
+# -- pinned last clicks ------------------------------------------------------
 
 PINS = np.array([0.45, 0.9, 0.99])  # last-click times
+
+
+@pytest.mark.parametrize("kind", ["exp", "dead"])
+@pytest.mark.parametrize("carry", [None, 0.02])
+def test_pinned_rows_match_nested_gauss(kind, carry):
+    config = _config(kind, 0.05)
+    carries = None if carry is None else ([carry], [1.0])
+    tables = renewal.fock_tables(config, 5, 8, list(PINS), carries)
+    for t, (value, err) in zip(PINS, tables):
+        # one pin alone reads the same chain
+        alone = fock_table(config, 5, 8, carries, t)
+        assert np.array_equal(alone[0], value) and np.array_equal(alone[1], err)
+        assert np.all(value[0] == 0.0)
+        ref = _gauss_rows(config, 5, 8, GAUSS, carry=carry, last_click=t)
+        assert np.abs(value - ref).max() < 1e-10
+    # tilted: every row the estimate accepts is within the tolerance
+    for t, (value, err) in zip(PINS, renewal.fock_tables(config, 5, 40, list(PINS), carries)):
+        ref = _gauss_rows(config, 5, 40, GAUSS, carry=carry, last_click=t)
+        for n in range(1, 6):
+            if np.all(SPEC.accepts(value[n], err[n])):
+                assert np.all(SPEC.accepts(value[n], np.abs(value[n] - ref[n])))
+
+
+@pytest.mark.parametrize("kind", ["exp", "dead"])
+@pytest.mark.parametrize("carries", [None, ([0.02], [1.0])], ids=["fresh", "0.02"])
+def test_pins_integrate_to_the_span(kind, carries):
+    # Gauss panels split where the tail weight kinks, at 1 - tau_d
+    x, w = _gauss(16)
+    pins, wts = [], []
+    for lo, hi in ((0.7, 0.95), (0.95, 1.0)):
+        pins += list(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
+        wts += list(0.5 * (hi - lo) * w)
+    *pinned, (span, _) = renewal.fock_tables(_config(kind, 0.05), 6, 8, pins + [(0.7, 1.0)],
+                                             carries)
+    total = sum(wt * value for wt, (value, _) in zip(wts, pinned))
+    assert np.abs(total - span).max() < 1e-12
+
+
+def test_split_reads_one_chain():
+    for config in (EXP, DEAD):
+        boundary = 1.0 - config.efficiency.tau_d
+        for n, m in ((1, 1), (2, 5), (3, 6)):
+            (reg, reg_meta), (irr, irr_meta) = number_tables(
+                config, n, m, SPEC, [(0.0, boundary), (boundary, 1.0)])
+            assert reg_meta["engines"] == irr_meta["engines"] == ["closed_form"] + ["renewal"] * n
+            assert regular_irregular_split(config, n, m, SPEC) == (reg[n, m], irr[n, m])
+
+
+def test_carries_are_checked():
+    with pytest.raises(DomainError):
+        fock_table(EXP, 2, 2, ([-0.1], [1.0]))
+    with pytest.raises(DomainError):
+        renewal.fock_tables(EXP, 2, 2, [None], ([0.1, 0.2], [1.0]))
+
+
+def test_pinned_fallback_rows_record_their_free_times():
+    # the pinned sixth row integrates five free times by nested Gauss
+    spec = QuadratureSpec(method="nested_gauss", gauss_order=8)
+    _, meta = number_table(EXP, 6, 6, spec, last_click=0.9)
+    assert meta["engines"] == ["closed_form"] + ["nested_gauss"] * 6
+    _, meta = number_table(EXP, 6, 6, QuadratureSpec(method="qmc_sobol"), last_click=0.9)
+    assert meta["engines"] == ["closed_form"] + ["qmc_sobol"] * 6
+
+
+# -- fixed-mean coherent chain ----------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ["exp", "dead"])

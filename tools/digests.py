@@ -23,6 +23,7 @@ import hashlib
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
@@ -32,7 +33,7 @@ import numpy as np  # noqa: E402
 from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile,  # noqa: E402
                          QuadratureSpec, carryover_matrix, coherent_click_probability,
                          coherent_click_probability_after_gap, cond_prob_matrix,
-                         last_click_density)
+                         last_click_density, regular_irregular_split)
 from snspd_stats.cli import figure_payload  # noqa: E402
 from snspd_stats.continuous import last_click_density_fock, memory_kernels  # noqa: E402
 from snspd_stats.results import _payload_digest  # noqa: E402
@@ -71,9 +72,14 @@ def _after_gap():
             for c in (EXP, DEAD, IDEAL) for n in range(7) for g in CARRIES]
 
 
-def _fock_density():
-    return np.concatenate([last_click_density_fock(c, m, OFFSETS, SPEC, carry=carry)
-                           for c, carry in ((EXP, None), (DEAD, 0.02)) for m in (1, 3, 8)])
+def _fock_density(spec, ms):
+    return np.concatenate([last_click_density_fock(c, m, OFFSETS, spec, carry=carry)
+                           for c, carry in ((EXP, None), (DEAD, 0.02)) for m in ms])
+
+
+def _split():
+    return [part for c in (EXP, DEAD) for n in (1, 2, 3) for m in range(n, 7)
+            for part in regular_irregular_split(c, n, m, SPEC)]
 
 
 OUTPUTS = {
@@ -95,7 +101,11 @@ OUTPUTS = {
     "last_click dead a 4 carry 0.02":
         lambda: last_click_density(DEAD, 4.0, OFFSETS, SPEC, carry=0.02),
     "last_click exp a 1": lambda: last_click_density(EXP, 1.0, OFFSETS, SPEC),
-    "last_click_fock exp m 1,3,8 | dead carry 0.02 m 1,3,8": _fock_density,
+    "last_click_fock exp m 1,3,8 | dead carry 0.02 m 1,3,8":
+        lambda: _fock_density(SPEC, (1, 3, 8)),
+    "last_click_fock nested_gauss exp m 1,3,5 | dead carry 0.02 m 1,3,5, the kernel reference":
+        lambda: _fock_density(replace(SPEC, method="nested_gauss"), (1, 3, 5)),
+    "split exp/dead n 1-3 m n-6 (regular, irregular)": _split,
     "figure_payload(4)": lambda: figure_payload(4, SPEC)["digest"],
     "validate --suite quick": lambda: _text_digest(run_suite("quick")[0]),
 }
