@@ -226,16 +226,11 @@ def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray
     return np.einsum("cp,cpk->ck", ws, _with_tail(config, table, length, s, grid, weight, tilt))
 
 
-def _pinned(config: DetectorConfig, table: np.ndarray, length: np.ndarray, s: float,
-            grid: int, weight: Callable, tilt: float = 0.0) -> Optional[np.ndarray]:
-    """(C, k) density in the time of an n-th click pinned at tail length s.
-
-    None when no carry leaves room for the click.
-    """
-    if np.all(length < s):
-        return None
-    return _with_tail(config, table, length, np.full((len(length), 1), s), grid,
-                      weight, tilt)[:, 0] / config.tau_m
+def _pinned(config: DetectorConfig, table: np.ndarray, length: np.ndarray, s: np.ndarray,
+            grid: int, weight: Callable, tilt: float = 0.0) -> np.ndarray:
+    """(C, P, k) density in the time of an n-th click pinned at the P tail lengths s."""
+    s = np.broadcast_to(s, (len(length), len(s)))
+    return _with_tail(config, table, length, s, grid, weight, tilt) / config.tau_m
 
 
 def _richardson(level: Callable):
@@ -264,18 +259,25 @@ def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
     def weight(elapsed, exposed):
         return _powers(np.maximum(elapsed - exposed, 0.0), m_max)
 
+    pinned = [i for i, tail in enumerate(tails) if np.ndim(tail) == 0]
+    spans = [i for i, tail in enumerate(tails) if np.ndim(tail)]
+    pins = np.array([tails[i] for i in pinned])
     out = None
     for n, length, table in _chain(config, carries, weight, 1.0, n_max, grid, tilt, weights):
         if out is None:
             out = np.zeros((len(tails), len(table), n_max + 1, m_max))
-        rows = [_tail_integral(config, table, length, tail, order, grid, weight, tilt)
-                if np.ndim(tail) else _pinned(config, table, length, tail, grid, weight, tilt)
-                for tail in tails]
-        if all(row is None for row in rows):
+        k = table.shape[-1]
+        rows = [_tail_integral(config, table, length, tails[i], order, grid, weight, tilt)
+                for i in spans]
+        live = pins.size > 0 and np.any(length[:, None] >= pins)
+        if not live and all(row is None for row in rows):
             break  # every later row is past the click cap
-        for i, row in enumerate(rows):
+        if live:
+            out[pinned, :, n, :k] = np.moveaxis(
+                _pinned(config, table, length, pins, grid, weight, tilt), 1, 0)
+        for i, row in zip(spans, rows):
             if row is not None:
-                out[i, :, n, :row.shape[-1]] = row
+                out[i, :, n, :k] = row
     return out
 
 
@@ -385,8 +387,7 @@ def coherent_table(config: DetectorConfig, n_max: int, a: float,
         out = np.zeros((n_max + 1,) + (() if tails is None else tails.shape))
         for n, length, table in _chain(config, [carry], weight, a, n_max, grid):
             if tails is not None:
-                out[n] = _with_tail(config, table, length, tails[None, :], grid,
-                                    weight)[0, :, 0] / tm
+                out[n] = _pinned(config, table, length, tails, grid, weight)[0, :, 0]
                 continue
             row = _tail_integral(config, table, length, (0.0, 1.0), order, grid, weight)
             if row is None:

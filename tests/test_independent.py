@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from snspd_stats import (DetectorConfig, DomainError,
                          deadtime_closed_form, photon_number_dist,
                          regular_irregular_split, same_count_probability,
                          squeezed_distribution_direct)
+from snspd_stats import independent
 
 SPEC = QuadratureSpec()
 EXP = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2))
@@ -155,6 +157,26 @@ class TestRegularIrregularSplit:
             for m in range(n, 4):
                 reg, irr = regular_irregular_split(EXP, n, m, SPEC)
                 assert reg + irr == pytest.approx(M.entries[n, m], abs=2e-6)
+
+    def test_chain_matches_nested_gauss(self, monkeypatch):
+        # under auto both spans come off the renewal chain; an explicit
+        # method bypasses it, so the two routes check each other
+        tables_of, engines = independent.number_tables, []
+
+        def spy(*args):
+            tables = tables_of(*args)
+            engines.extend(meta["engines"] for _, meta in tables)
+            return tables
+
+        monkeypatch.setattr(independent, "number_tables", spy)
+        gauss = replace(SPEC, method="nested_gauss")
+        for cfg in (EXP, DT):
+            for n, m in ((1, 1), (2, 5), (3, 6)):
+                engines.clear()
+                chain = regular_irregular_split(cfg, n, m, SPEC)
+                assert engines == [["closed_form"] + ["renewal"] * n] * 2
+                ref = regular_irregular_split(cfg, n, m, gauss)
+                assert np.abs(np.subtract(chain, ref)).max() < 1e-10
 
     def test_single_click_balance(self):
         reg, irr = regular_irregular_split(EXP, 1, 1, SPEC)

@@ -10,8 +10,7 @@ from snspd_stats import (CwConfig, DetectorConfig, DomainError, EfficiencyProfil
                          cond_prob_matrix, last_click_density, renewal)
 from snspd_stats.continuous import _carry_nodes, memory_kernels, resolve_delta
 from snspd_stats.independent import (coherent_row, coherent_rows, deadtime_closed_form,
-                                     fock_row, number_table, number_tables,
-                                     regular_irregular_split, same_count_probability)
+                                     fock_row, number_table, same_count_probability)
 from snspd_stats.quadrature import _gauss
 from snspd_stats.renewal import M_MAX, coherent_table, fock_table
 from snspd_stats.weights import window_integral
@@ -98,20 +97,23 @@ def test_tilted_tables_serve_every_row(tilted_matrix):
         assert abs(tilted_matrix.entries[n, n] - same_count_probability(EXP, n)) < 1e-8
 
 
-@pytest.mark.parametrize("carries", [None, ([0.02], [1.0]), ([0.004, 0.29], [0.5, 0.5])],
-                         ids=["fresh", "0.02", "batch"])
+@pytest.mark.parametrize("cases", [[None], [([0.02], [1.0])],
+                                   [([0.004], [1.0]), ([0.29], [1.0])],
+                                   [([0.004, 0.29], [0.5, 0.5])]],
+                         ids=["fresh", "0.02", "batch", "weighted"])
 @pytest.mark.parametrize("last_click", [None, (0.7, 1.0)])
-def test_tilted_rows_match_nested_gauss(carries, last_click):
+def test_tilted_rows_match_nested_gauss(cases, last_click):
     # the tilt's discretisation error peaks on row 2 (5.5e-9 at P(2|2)),
     # far inside the tolerance the rows are taken at
-    value, err = fock_table(EXP, 5, 40, carries, last_click)
-    assert np.all(SPEC.accepts(value, err))
-    taus, tws = ([None], [1.0]) if carries is None else carries
-    ref = sum(wt * _gauss_rows(EXP, 5, 40, GAUSS, carry=c, last_click=last_click)
-              for c, wt in zip(taus, tws))
-    diff = np.abs(value - ref)
-    assert diff.max() < 1e-8
-    assert np.all(SPEC.accepts(value, diff))
+    for carries in cases:
+        value, err = fock_table(EXP, 5, 40, carries, last_click)
+        assert np.all(SPEC.accepts(value, err))
+        taus, tws = ([None], [1.0]) if carries is None else carries
+        ref = sum(wt * _gauss_rows(EXP, 5, 40, GAUSS, carry=c, last_click=last_click)
+                  for c, wt in zip(taus, tws))
+        diff = np.abs(value - ref)
+        assert diff.max() < 1e-8
+        assert np.all(SPEC.accepts(value, diff))
 
 
 def test_same_count_matches_renewal_diagonal():
@@ -333,16 +335,6 @@ def test_pins_integrate_to_the_span(kind, carries):
                                              carries)
     total = sum(wt * value for wt, (value, _) in zip(wts, pinned))
     assert np.abs(total - span).max() < 1e-12
-
-
-def test_split_reads_one_chain():
-    for config in (EXP, DEAD):
-        boundary = 1.0 - config.efficiency.tau_d
-        for n, m in ((1, 1), (2, 5), (3, 6)):
-            (reg, reg_meta), (irr, irr_meta) = number_tables(
-                config, n, m, SPEC, [(0.0, boundary), (boundary, 1.0)])
-            assert reg_meta["engines"] == irr_meta["engines"] == ["closed_form"] + ["renewal"] * n
-            assert regular_irregular_split(config, n, m, SPEC) == (reg[n, m], irr[n, m])
 
 
 def test_carries_are_checked():
