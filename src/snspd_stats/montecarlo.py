@@ -58,7 +58,7 @@ class SimSpec:
             raise DomainError("trials must be at least 1")
         if self.carry_in not in ("fresh", "fixed_tau", "contiguous"):
             raise DomainError(f"unknown carry_in {self.carry_in!r}")
-        if self.carry_in == "fixed_tau" and self.fixed_tau < 0:
+        if self.carry_in == "fixed_tau" and not self.fixed_tau >= 0:
             raise DomainError("fixed_tau must be nonnegative")
         if self.windows_per_trial < 1:
             raise DomainError("windows_per_trial must be at least 1")
@@ -284,8 +284,8 @@ def simulate_interpulse_gaps(config: DetectorConfig, rate: float, n_gaps: int,
     recovery depends only on the last click, consecutive gaps of a long
     stream are i.i.d. copies of this construction.
     """
-    if rate <= 0:
-        raise DomainError("rate must be positive")
+    if not (math.isfinite(rate) and rate > 0):
+        raise DomainError("rate must be positive and finite")
     if n_gaps < 1:
         raise DomainError("n_gaps must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))

@@ -24,6 +24,13 @@ one chain of convolutions.  For many photons the chain is exponentially
 tilted, every factor times e^(-lambda u), which keeps each convolution
 exact and damps the FFT round-off of the series product.
 
+Inside the chain the z-series axis comes first: tables are (k, rows,
+grid) and gap factors (K, 1, grid), so the FFTs run along the contiguous
+grid axis and each term of the Cauchy product multiplies and adds whole
+(rows, grid) blocks.  The products are the same multiplies and adds in
+the same order as on a coefficient-last layout, so the tables are the
+same bit for bit; the chain hands its callers (rows, grid, k) tables.
+
 Gaps are shifted by the dead time b and the first click by the support
 plan's offset, which leaves every gap factor smooth on the grid whatever b
 is.  Convolutions are trapezoid sums taken by FFT; the last one, against
@@ -95,10 +102,14 @@ def _powers(d: np.ndarray, size: int) -> np.ndarray:
 
 
 def _series_product(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-    """Cauchy product over the last axis, truncated to ``size`` coefficients."""
-    out = a[..., :1] * b[..., :size]
-    for j in range(1, min(size, a.shape[-1])):
-        out[..., j:] += a[..., j:j + 1] * b[..., :size - j]
+    """Cauchy product over the first axis, truncated to ``size`` coefficients.
+
+    The z-series coefficient is the leading axis, so each step multiplies
+    and adds whole contiguous (rows, grid) blocks; the other axes broadcast.
+    """
+    out = a[:1] * b[:size]
+    for j in range(1, min(size, len(a))):
+        out[j:] += a[j] * b[:size - j]
     return out
 
 
@@ -145,7 +156,9 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
     1 - length[c] + j/grid, so the grid starts at the click's earliest time
     and ``length`` is what remains of the window.  A table keeps
     max(1, K - n + 1) coefficients: all a series row n needs, or its one
-    value.
+    value.  The chain itself holds its table coefficient first, (k, C,
+    grid + 1), and yields a C-contiguous (C, grid + 1, k) copy: a strided
+    view would change the summation order of the read-off's einsum.
 
     With ``weights`` (one per carry) the rows are the weighted sums over
     carries that share a grid: the chain is linear in its first factor, so
@@ -164,7 +177,8 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
     damp = np.exp(-tilt * u)[:, None]
     size = 1 << (2 * (grid + 1) - 1).bit_length()  # FFT length: linear convolution
     psi = click * damp * xi(b + u)[:, None] * weight(b + u, cum(b + u))
-    psi_hat = np.fft.rfft(psi, size, axis=0)
+    psi = np.ascontiguousarray(psi.T)[:, None]  # (K, 1, grid + 1), coefficient first
+    psi_hat = np.fft.rfft(psi, size)
 
     offsets = np.array([0.0 if c is None else max(0.0, b - c / tm) for c in carries])
     table = damp * np.stack([
@@ -175,15 +189,16 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
         offsets, row = np.unique(offsets, return_inverse=True)
         table = np.stack([np.tensordot(weights[row == r], table[row == r], 1)
                           for r in range(len(offsets))])
+    table = np.ascontiguousarray(np.moveaxis(table, -1, 0))  # (K, C, grid + 1)
     for n in range(1, n_max + 1):
-        yield n, 1.0 - offsets - (n - 1) * b, table
+        yield n, 1.0 - offsets - (n - 1) * b, np.ascontiguousarray(np.moveaxis(table, 0, -1))
         if n < n_max:
-            k = max(1, psi.shape[1] - n)
-            table = table[..., :k]
-            full = np.fft.irfft(_series_product(np.fft.rfft(table, size, axis=1),
-                                                psi_hat, k), size, axis=1)[:, :grid + 1]
-            table = h * full - 0.5 * h * (_series_product(table[:, :1], psi, k)
-                                          + _series_product(table, psi[:1], k))
+            k = max(1, len(psi) - n)
+            table = table[:k]
+            full = np.fft.irfft(_series_product(np.fft.rfft(table, size), psi_hat, k),
+                                size)[..., :grid + 1]
+            table = h * full - 0.5 * h * (_series_product(table[..., :1], psi, k)
+                                          + _series_product(table, psi[..., :1], k))
 
 
 def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
@@ -199,8 +214,11 @@ def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
     at = np.clip(pos, 0.0, 1.0)
     head = _interpolate(table, at, grid) * np.exp(tilt * at)[..., None]
     k = table.shape[-1]
-    return np.where((pos >= 0.0)[..., None],
-                    _series_product(head, weight(s, cum(s))[..., :k], k), 0.0)
+    tail = np.moveaxis(weight(s, cum(s))[..., :k], -1, 0)
+    product = np.moveaxis(_series_product(np.moveaxis(head, -1, 0), tail, k), 0, -1)
+    # C order, like the tables _chain yields: a strided result would change
+    # the order in which the callers' einsums sum
+    return np.where((pos >= 0.0)[..., None], np.ascontiguousarray(product), 0.0)
 
 
 def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
@@ -310,8 +328,8 @@ def fock_tables(config: DetectorConfig, n_max: int, m_max: int,
     taus, weights = [None], None
     if carries is not None:
         taus, weights = [float(c) for c in carries[0]], np.asarray(carries[1], dtype=float)
-        if any(c < 0 for c in taus):
-            raise DomainError("carry gap must be nonnegative")
+        if not all(math.isfinite(c) and c >= 0 for c in taus):
+            raise DomainError("carry gap must be finite and nonnegative")
         if weights.shape != (len(taus),):
             raise DomainError("carry weights need one weight per carry")
     tm = config.tau_m
@@ -375,8 +393,8 @@ def coherent_table(config: DetectorConfig, n_max: int, a: float,
                           "built-in recovery profile")
     if n_max < 0:
         raise DomainError("the renewal engine needs n_max >= 0")
-    if carry is not None and carry < 0:
-        raise DomainError("carry gap must be nonnegative")
+    if carry is not None and not (math.isfinite(carry) and carry >= 0):
+        raise DomainError("carry gap must be finite and nonnegative")
     tm = config.tau_m
     tails = None if last_click is None else (tm - np.atleast_1d(last_click)) / tm
 

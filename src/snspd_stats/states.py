@@ -60,12 +60,14 @@ class StateSpec:
             raise DomainError("coherent amplitude must be finite")
         if self.kind == "fock" and self.k < 0:
             raise DomainError("Fock number must be nonnegative")
-        if self.kind == "squeezed_vacuum" and self.r < 0:
-            raise DomainError("squeezing parameter must be nonnegative")
+        if self.kind == "squeezed_vacuum" and not (math.isfinite(self.r) and self.r >= 0):
+            raise DomainError("squeezing parameter must be finite and nonnegative")
         if self.kind == "custom":
             if not self.probs:
                 raise DomainError("custom state needs explicit probabilities")
             p = np.asarray(self.probs, dtype=float)
+            if not np.all(np.isfinite(p)):
+                raise DomainError("custom probabilities must be finite")
             if np.any(p < 0):
                 raise DomainError("custom probabilities must be nonnegative")
             if abs(p.sum() - 1.0) > 1e-9:

@@ -124,6 +124,7 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 def test_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 2
     assert main(["dist", "--state", "thermal:2"]) == 2
+    assert main(["dist", "--profile", "exp", "--state", "squeezed:nan"]) == 2
     # closed form demands a zero relaxation time
     assert main(["matrix", "--profile", "exp", "--m-max", "2", "--closed-form"]) == 2
     assert main(["cw", "--profile", "exp", "--state", "fock:1", "--delta", "nan"]) == 2

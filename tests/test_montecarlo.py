@@ -142,6 +142,8 @@ def test_sim_spec_validation():
     with pytest.raises(DomainError):
         SimSpec(trials=10, carry_in="fixed_tau", fixed_tau=-1.0)
     with pytest.raises(DomainError):
+        SimSpec(trials=10, carry_in="fixed_tau", fixed_tau=math.nan)
+    with pytest.raises(DomainError):
         SimSpec(trials=10, carry_in="contiguous", windows_per_trial=3, warm_up=4)
 
 
@@ -161,9 +163,12 @@ class TestInterpulseGaps:
         assert gaps.mean() == pytest.approx(1 / rate, rel=0.01)
         assert np.var(gaps) == pytest.approx(1 / rate**2, rel=0.03)
 
-    def test_rate_validation(self):
-        with pytest.raises(DomainError):
-            simulate_interpulse_gaps(EXP, rate=0.0, n_gaps=10)
+    def test_rate_validation(self, monkeypatch):
+        # rejected at entry: no generator is ever built
+        monkeypatch.setattr(np.random, "Generator", None)
+        for rate in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                simulate_interpulse_gaps(EXP, rate=rate, n_gaps=10_000_000)
 
 
 def test_result_serialization():

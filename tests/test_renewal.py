@@ -39,6 +39,35 @@ def _gauss_rows(config, n_top, m_max, spec, carry=None, last_click=None):
     return out
 
 
+# (a, b, size) shapes of the chain's products: table by gap factor, the
+# trapezoid corrections (edge of either side), a cut below both lengths and
+# the one-coefficient coherent chain
+PRODUCTS = [((7, 3, 9), (8, 1, 9), 7), ((7, 3, 1), (8, 1, 9), 7), ((7, 3, 9), (8, 1, 1), 7),
+            ((6, 2, 4), (8, 2, 4), 4), ((1, 3, 9), (1, 1, 9), 1)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("a_shape, b_shape, size", PRODUCTS)
+def test_series_product_matches_convolution(dtype, a_shape, b_shape, size):
+    rng = np.random.default_rng(11)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    a, b = draw(a_shape), draw(b_shape)
+    out = renewal._series_product(a, b, size)
+    rows = np.broadcast_shapes(a_shape[1:], b_shape[1:])
+    assert out.shape == (size,) + rows and out.dtype == np.dtype(dtype)
+    wide_a = np.broadcast_to(a, a_shape[:1] + rows)
+    wide_b = np.broadcast_to(b, b_shape[:1] + rows)
+    for idx in np.ndindex(*rows):
+        ra, rb = wide_a[(slice(None),) + idx], wide_b[(slice(None),) + idx]
+        ref = np.convolve(ra, rb)[:size]
+        terms = np.convolve(np.abs(ra), np.abs(rb))[:size]
+        assert np.all(np.abs(out[(slice(None),) + idx] - ref) <= 1e-14 * terms)
+
+
 @pytest.mark.parametrize("kind", ["exp", "dead"])
 @pytest.mark.parametrize("tau_d", [0.05, 0.333])
 @pytest.mark.parametrize("last_click", [None, (0.7, 1.0)])
@@ -342,6 +371,11 @@ def test_carries_are_checked():
         fock_table(EXP, 2, 2, ([-0.1], [1.0]))
     with pytest.raises(DomainError):
         renewal.fock_tables(EXP, 2, 2, [None], ([0.1, 0.2], [1.0]))
+    for carry in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            fock_table(EXP, 2, 2, ([0.1, carry], [0.5, 0.5]))
+        with pytest.raises(DomainError):
+            coherent_table(EXP, 2, 3.0, carry=carry)
 
 
 def test_pinned_fallback_rows_record_their_free_times():

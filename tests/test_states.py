@@ -80,6 +80,13 @@ class TestSqueezed:
         assert d.m_max == 64  # cap reached; tail stays explicit
         assert d.tail > 0
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5])
+    def test_bad_squeezing_is_rejected(self, r):
+        with pytest.raises(DomainError):
+            StateSpec.squeezed(r)
+        with pytest.raises(DomainError):
+            StateSpec.parse(f"squeezed:{r}")
+
 
 class TestCustom:
     def test_validation(self):
@@ -87,6 +94,9 @@ class TestCustom:
             StateSpec.custom([0.5, 0.6])
         with pytest.raises(DomainError):
             StateSpec.custom([0.5, -0.5, 1.0])
+        for bad in ([0.5, math.nan], [0.5, math.inf], [math.nan]):
+            with pytest.raises(DomainError):
+                StateSpec.custom(bad)
 
     def test_loss_thinning(self):
         d = photon_number_dist(StateSpec.custom([0.0, 0.0, 1.0]), eta=0.5, nu=0.0)

@@ -31,9 +31,10 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile,  # noqa: E402
-                         QuadratureSpec, carryover_matrix, coherent_click_probability,
+                         QuadratureSpec, StateSpec, carryover_matrix,
+                         click_distribution_independent, coherent_click_probability,
                          coherent_click_probability_after_gap, cond_prob_matrix,
-                         last_click_density, regular_irregular_split)
+                         last_click_density, photon_number_dist, regular_irregular_split)
 from snspd_stats.cli import figure_payload  # noqa: E402
 from snspd_stats.continuous import last_click_density_fock, memory_kernels  # noqa: E402
 from snspd_stats.results import _payload_digest  # noqa: E402
@@ -92,6 +93,11 @@ OUTPUTS = {
     "carryover exp m_max 8": lambda: carryover_matrix(EXP, CW, m_max=8, spec=SPEC).entries,
     "kernels exp m_max 8 (a|b|c|D)": lambda: _kernels(EXP, 8),
     "kernels exp m_max 11 (a|b|c|D), the cw workload's": lambda: _kernels(EXP, 11),
+    "kernels exp m_max 34 (a|b|c|D), a tilted carried chain read at two spans":
+        lambda: _kernels(EXP, 34),
+    "independent exp squeezed r 1 eta 0.9 m_max 56, validate's number-basis route":
+        lambda: click_distribution_independent(
+            photon_number_dist(StateSpec.squeezed(1.0), eta=0.9, nu=0.0), EXP, SPEC).probs,
     "coherent exp/dead/lossy/tabulated/ideal n 0-7 alpha^2 3": _coherent,
     "after_gap exp/dead/ideal n 0-6 six carries alpha^2 3": _after_gap,
     "last_click exp a 4": lambda: last_click_density(EXP, 4.0, OFFSETS, SPEC),
