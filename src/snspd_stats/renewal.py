@@ -216,9 +216,7 @@ def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
     k = table.shape[-1]
     tail = np.moveaxis(weight(s, cum(s))[..., :k], -1, 0)
     product = np.moveaxis(_series_product(np.moveaxis(head, -1, 0), tail, k), 0, -1)
-    # C order, like the tables _chain yields: a strided result would change
-    # the order in which the callers' einsums sum
-    return np.where((pos >= 0.0)[..., None], np.ascontiguousarray(product), 0.0)
+    return np.where((pos >= 0.0)[..., None], product, 0.0)
 
 
 def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
