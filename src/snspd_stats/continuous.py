@@ -39,9 +39,9 @@ import numpy as np
 
 from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
-from .independent import (DEFAULT_SPEC, click_distribution_independent,
-                          coherent_integral, coherent_row, coherent_rows, cond_prob_matrix,
-                          number_table, number_tables, resolve_n_max)
+from .independent import (DEFAULT_SPEC, click_distribution_independent, coherent_row,
+                          coherent_rows, cond_prob_matrix, number_table, number_tables,
+                          resolve_n_max)
 from .quadrature import QuadratureSpec, _gauss
 from .results import ClickDistribution, ConditionalMatrix
 from .states import PhotonNumberDist
@@ -318,10 +318,13 @@ def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
     Together with the no-click weight this normalizes to one over a window:
     exp(-a) plus the integral of the density over [0, tau_m] equals 1.
     Accepts an array of offsets.  ``carry`` conditions the window on a
-    click before its start.  One fixed-mean chain gives the rows it serves
-    at every offset (``coherent_rows``); the other rows are integrated per
-    offset.
+    click before its start.  The density sums rows 1..``n_cut`` (an
+    integer of at least 1; by default the click cap, or a + 12 sqrt(a + 1)
+    + 10 rows without one), every offset a pinned last click of one
+    ``coherent_rows`` call.
     """
+    if n_cut is not None and (not isinstance(n_cut, (int, np.integer)) or n_cut < 1):
+        raise DomainError("n_cut must be an integer of at least 1")
     a = config.effective_mean(alpha_sq)
     taus = _offsets(config, tau, carry)
     if config.efficiency.kind == "ideal" and carry is None:
@@ -331,24 +334,13 @@ def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
         out = a * np.asarray(config.mode.intensity(t_pins, config.tau_m)) \
             * np.exp(-a * mass_after)
         return out if np.ndim(tau) else float(out[0])
-    cap = config.max_clicks()
     if n_cut is None:
+        cap = config.max_clicks()
         n_cut = cap if cap is not None else int(a + 12 * math.sqrt(a + 1) + 10)
-    pins = config.tau_m - taus
-    served = coherent_rows(config, n_cut, a, spec, carry=carry, last_click=pins)
-    out = np.zeros(len(taus))
-    for j, pin in enumerate(pins):
-        total = 0.0
-        for n in range(1, n_cut + 1):
-            if n in served:
-                term = float(served[n][j])
-            else:
-                term = coherent_integral(config, n, a, spec, carry=carry,
-                                         last_click=float(pin))
-            total += term
-            if n > a and term < 1e-9 * max(total, 1e-300):
-                break
-        out[j] = total
+    carries = None if carry is None else ([float(carry)], [1.0])
+    tables = coherent_rows(config, range(1, n_cut + 1), a, spec,
+                           [config.tau_m - float(t) for t in taus], carries)
+    out = np.array([sum(values) for values, _ in tables])  # rows added in order
     return out if np.ndim(tau) else float(out[0])
 
 

@@ -134,21 +134,15 @@ def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratur
     The window is entered with the carry average ``carries`` (taus,
     weights), fresh when None; ``last_click`` (lo, hi) restricts its n-th
     click, and a float pins it there (each entry is then the density in
-    that time).  Under ``spec.method == "auto"`` a row comes from
-    ``renewal.fock_table`` when the engine serves the configuration and
-    every entry of the row meets ``spec``'s tolerance against its error
-    estimate.  Other rows n = 1..n_max are integrated independently
-    (threaded when configured); a renewal row that missed the tolerance
-    is still taken when its largest estimate is below the quadrature
-    row's.  Row 0 holds the no-click probability, zero under a last
-    click; rows above the click cap stay zero.
+    that time).  Under ``spec.method == "auto"`` the rows come from
+    ``renewal.fock_tables`` when the engine serves the configuration, and
+    ``_pick_rows`` keeps or integrates each.  Row 0 holds the no-click
+    probability, zero under a last click; rows above the click cap stay
+    zero.
 
-    Returns ``(entries, meta)``; meta records the requested ``method``,
-    the ``engines`` of rows 0..n_max ("closed_form" for the zero-click row
-    and rows above the cap, else "renewal" or the quadrature method the
-    row's free click times resolve to), ``renewal_err``, the largest error
-    estimate of the renewal rows taken, and ``quad_err``, that of the
-    quadrature rows (each None without any such row).
+    Returns ``(entries, meta)``; meta records the requested ``method`` and
+    ``_pick_rows``' ``engines`` of rows 0..n_max ("closed_form" for the
+    zero-click row and rows above the cap), ``renewal_err`` and ``quad_err``.
     """
     return number_tables(config, n_max, m_max, spec, [last_click], carries)[0]
 
@@ -180,34 +174,56 @@ def _number_table(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratu
         taus, tws = carries
         expo0 = np.asarray(no_count_exposure(config, taus))
         entries[0, :] = tws @ power_matrix(1.0 - expo0, np.arange(m_max + 1))
-    rows = range(1, top + 1)
-    if value is None:
-        todo = list(rows)
-    else:
-        ok = np.all(spec.accepts(value, err), axis=1)
-        todo = [n for n in rows if not ok[n]]
 
-    def compute_row(n):
+    def integrate(n):
         ms = np.arange(n, m_max + 1)
         perm = np.array([math.perm(int(m), n) for m in ms], dtype=float)
         val, row_err = _quadrature_row(config, n, ms - n, spec, carries, last_click)
-        return perm * val, float((perm * row_err).max())
+        row = np.zeros(m_max + 1)
+        row[n:] = perm * val
+        return row, float((perm * row_err).max())
 
-    quad = dict(zip(todo, map_indexed(compute_row, todo)))
+    rows = range(1, top + 1)
+    chosen, meta = _pick_rows(rows, value, err, spec, integrate, last_click)
+    for n, row in zip(rows, chosen):
+        entries[n, n:] = row[n:]
     engines = ["closed_form"] * (n_max + 1)
-    renewal_errs, quad_errs = [], []
+    engines[1:top + 1] = meta["engines"]
+    return entries, {"method": spec.method, **meta, "engines": engines}
+
+
+def _pick_rows(rows, value, err, spec: QuadratureSpec, integrate, last_click):
+    """Rows ``rows`` of one table: renewal rows where they meet ``spec``, else integrated.
+
+    ``value`` and ``err`` are the renewal table and its estimate by click
+    number, None when the chain did not run.  A row whose entries all pass
+    ``spec.accepts`` is taken.  The others are integrated by ``integrate(n)``,
+    which gives ``(row, largest estimate)``, through ``map_indexed``; a
+    rejected renewal row is kept when its largest estimate is below the
+    integrated row's.  Returns the chosen rows and meta: their ``engines``
+    ("renewal" or the quadrature method of their free times), and
+    ``renewal_err`` and ``quad_err``, the largest estimate of each kind taken.
+    """
+    if value is None:
+        todo = list(rows)
+    else:
+        ok = spec.accepts(value, err).reshape(len(value), -1).all(axis=1)
+        worst = err.reshape(len(err), -1).max(axis=1)
+        todo = [n for n in rows if not ok[n]]
+    quad = dict(zip(todo, map_indexed(integrate, todo)))
+    chosen, engines, renewal_errs, quad_errs = [], [], [], []
     for n in rows:
-        if n in quad and (value is None or quad[n][1] <= err[n].max()):
-            entries[n, n:], row_err = quad[n]
-            engines[n] = spec.resolve_method(_free_times(n, last_click))
+        if n in quad and (value is None or quad[n][1] <= worst[n]):
+            row, row_err = quad[n]
+            engines.append(spec.resolve_method(_free_times(n, last_click)))
             quad_errs.append(row_err)
         else:
-            entries[n, n:] = value[n, n:]
-            engines[n] = "renewal"
-            renewal_errs.append(float(err[n].max()))
-    return entries, {"method": spec.method, "engines": engines,
-                     "renewal_err": max(renewal_errs, default=None),
-                     "quad_err": max(quad_errs, default=None)}
+            row = value[n]
+            engines.append("renewal")
+            renewal_errs.append(float(worst[n]))
+        chosen.append(row)
+    return chosen, {"engines": engines, "renewal_err": max(renewal_errs, default=None),
+                    "quad_err": max(quad_errs, default=None)}
 
 
 def poisson_weight(n: int, a: float) -> float:
@@ -217,33 +233,37 @@ def poisson_weight(n: int, a: float) -> float:
     return math.exp(n * math.log(a) - a - math.lgamma(n + 1))
 
 
-def coherent_rows(config: DetectorConfig, n_max: int, a: float, spec: QuadratureSpec,
-                  carry=None, last_click=None) -> dict:
-    """Rows n = 1..n_max of ``renewal.coherent_table`` that meet ``spec``'s tolerance.
+def coherent_rows(config: DetectorConfig, rows, a: float, spec: QuadratureSpec,
+                  last_clicks, carries=None):
+    """Coherent rows ``rows`` (click numbers >= 1) at effective mean ``a``, per last click.
 
-    Under ``spec.method == "auto"``, when the engine serves the
-    configuration, row n is taken if every one of its values passes
-    ``spec.accepts``, as in ``number_table``.
-    ``last_click`` is None or the pinned time(s) of the n-th click.
-    Returns ``{n: value}`` (a float, or an array over the pinned times);
-    empty when the chain is not used.
+    ``last_clicks`` and ``carries`` take the forms of ``number_tables``.
+    Under ``auto``, when the engine serves the configuration, one chain up
+    to the highest row gives the renewal rows (``renewal.coherent_tables``)
+    and ``_pick_rows`` picks each last click's rows.  An integrated row is
+    a^n times ``window_integral`` of density * exp(-a * exposure), weighted
+    over the carries like its estimate.  Returns one ``(values, meta)`` per
+    last click, values[i] for rows[i].
     """
-    if spec.method != "auto" or n_max < 1 or not renewal.serves(config):
-        return {}
-    value, err = renewal.coherent_table(config, n_max, a, carry=carry, last_click=last_click)
-    ok = spec.accepts(value, err)
-    return {n: value[n] for n in range(1, n_max + 1) if np.all(ok[n])}
+    tables = [(None, None)] * len(last_clicks)
+    if spec.method == "auto" and renewal.serves(config):
+        tables = renewal.coherent_tables(config, max(rows), a, last_clicks, carries)
+    taus, tws = ([None], [1.0]) if carries is None else carries
 
+    def pick(last_click, value, err):
+        def integrate(n):
+            val = row_err = 0.0
+            for tau, wt in zip(taus, tws):
+                v, e = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
+                                       spec, carry=tau, last_click=last_click)
+                val += wt * (a**n * float(v))
+                row_err += wt * (a**n * float(e))
+            return val, row_err
 
-def coherent_integral(config: DetectorConfig, n: int, a: float, spec: QuadratureSpec,
-                      carry=None, last_click=None) -> float:
-    """a^n times ``window_integral`` of density * exp(-a * exposure) over n >= 1 clicks.
+        chosen, meta = _pick_rows(rows, value, err, spec, integrate, last_click)
+        return np.array(chosen, dtype=float), meta
 
-    ``carry`` and ``last_click`` are passed on to ``window_integral``.
-    """
-    val, _ = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
-                             spec, carry=carry, last_click=last_click)
-    return a**n * float(val)
+    return [pick(last_click, value, err) for last_click, (value, err) in zip(last_clicks, tables)]
 
 
 def coherent_row(config: DetectorConfig, n: int, a: float, spec: QuadratureSpec,
@@ -254,8 +274,7 @@ def coherent_row(config: DetectorConfig, n: int, a: float, spec: QuadratureSpec,
     ``last_click`` its density in the time of the n-th click; ``carry``
     conditions the window on a click that long before its start.  Without
     a pinned click an ideal profile gives the Poisson weight.  Other rows
-    n >= 1 come from ``coherent_rows`` when it serves them (the chain runs
-    up to n) and from ``coherent_integral`` otherwise.
+    n >= 1 are ``coherent_rows``' row n alone.
     """
     if n < 0:
         raise DomainError("click number must be nonnegative")
@@ -263,10 +282,9 @@ def coherent_row(config: DetectorConfig, n: int, a: float, spec: QuadratureSpec,
         return poisson_weight(n, a)
     if n == 0:
         return math.exp(-a if carry is None else -a * float(no_count_exposure(config, carry)))
-    served = coherent_rows(config, n, a, spec, carry=carry, last_click=last_click)
-    if n in served:
-        return float(served[n])
-    return coherent_integral(config, n, a, spec, carry=carry, last_click=last_click)
+    carries = None if carry is None else ([carry], [1.0])
+    (values, _), = coherent_rows(config, [n], a, spec, [last_click], carries)
+    return float(values[0])
 
 
 def coherent_click_probability(config: DetectorConfig, n: int, alpha_sq: float,

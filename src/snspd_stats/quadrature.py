@@ -61,6 +61,9 @@ class QuadratureSpec:
             raise DomainError(f"unknown quadrature method {self.method!r}")
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise DomainError("tolerances must be positive and finite")
+        for name in ("gauss_order", "qmc_samples", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise DomainError(f"{name} must be an integer")
         if self.gauss_order < 2:
             raise DomainError("gauss_order must be at least 2")
         if self.qmc_samples < 1 << 10:

@@ -42,7 +42,7 @@ Tables at three grid sizes give a Richardson value and an error estimate.
 At a fixed mean a, coherent light needs no z-series: e^(-a exposure)
 factors into one number per gap and for the tail, so the same chain with
 scalar factors gives the coherent rows and, before its last step, the
-density of the n-th click at every time (``coherent_table``).
+density of the n-th click at every time (``coherent_tables``).
 """
 
 from __future__ import annotations
@@ -87,6 +87,10 @@ _TILT = 30.0
 _GRID = 500
 
 _LAGRANGE = 8      # points of the local interpolant of the chained table (degree 7)
+# factor (j, i) of Lagrange weight j is (r - i)/(j - i), and 1 at i = j
+_NODES = np.arange(_LAGRANGE)
+_SAME = _NODES[:, None] == _NODES
+_SPREAD = np.where(_SAME, 1, _NODES[:, None] - _NODES)
 
 # Gauss order per panel of the last convolution on the coarsest grid.  It
 # doubles with the grid, so that a tail the rule does not resolve (a
@@ -118,12 +122,9 @@ def _interpolate(table: np.ndarray, x: np.ndarray, grid: int) -> np.ndarray:
     pos = x * grid
     start = np.clip(np.floor(pos).astype(int) - _LAGRANGE // 2 + 1, 0, grid + 1 - _LAGRANGE)
     r = pos - start
-    nodes = np.arange(_LAGRANGE)
-    # factor (j, i) of Lagrange weight j: (r - i)/(j - i), and 1 at i = j
-    same = nodes[:, None] == nodes
-    factors = (r[..., None, None] - nodes) / np.where(same, 1, nodes[:, None] - nodes)
-    wts = np.where(same, 1.0, factors).prod(axis=-1)
-    rows = table[np.arange(table.shape[0])[:, None, None], start[..., None] + nodes]
+    factors = (r[..., None, None] - _NODES) / _SPREAD
+    wts = np.where(_SAME, 1.0, factors).prod(axis=-1)
+    rows = table[np.arange(table.shape[0])[:, None, None], start[..., None] + _NODES]
     return np.einsum("cpj,cpjk->cpk", wts, rows)
 
 
@@ -185,13 +186,15 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
         click * weight(u, u) if c is None else
         click * xi(c / tm + t)[:, None] * weight(t, cum(c / tm + t) - cum(c / tm))
         for c, t in zip(carries, offsets[:, None] + u)])
-    if weights is not None:
+    if weights is not None and len(carries) == 1:
+        table = weights[0] * table  # a single carry is its own row
+    elif weights is not None:
         offsets, row = np.unique(offsets, return_inverse=True)
         table = np.stack([np.tensordot(weights[row == r], table[row == r], 1)
                           for r in range(len(offsets))])
     table = np.ascontiguousarray(np.moveaxis(table, -1, 0))  # (K, C, grid + 1)
     for n in range(1, n_max + 1):
-        yield n, 1.0 - offsets - (n - 1) * b, np.ascontiguousarray(np.moveaxis(table, 0, -1))
+        yield n, 1.0 - offsets - (n - 1) * b, np.ascontiguousarray(table.transpose(1, 2, 0))
         if n < n_max:
             k = max(1, len(psi) - n)
             table = table[:k]
@@ -203,7 +206,7 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
 
 def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
                s: np.ndarray, grid: int, weight: Callable, tilt: float = 0.0) -> np.ndarray:
-    """(C, P, k) chained table at tail lengths s (C, P) times the tail weight.
+    """(C, P, k) chained table at tail lengths s (C or 1, P) times the tail weight.
 
     The table is read off its local interpolant at 1 - s and its ``_chain``
     tilt undone there; a tail longer than ``length`` leaves no room for the
@@ -214,8 +217,8 @@ def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
     at = np.clip(pos, 0.0, 1.0)
     head = _interpolate(table, at, grid) * np.exp(tilt * at)[..., None]
     k = table.shape[-1]
-    tail = np.moveaxis(weight(s, cum(s))[..., :k], -1, 0)
-    product = np.moveaxis(_series_product(np.moveaxis(head, -1, 0), tail, k), 0, -1)
+    tail = weight(s, cum(s))[..., :k].transpose(2, 0, 1)
+    product = _series_product(head.transpose(2, 0, 1), tail, k).transpose(1, 2, 0)
     return np.where((pos >= 0.0)[..., None], product, 0.0)
 
 
@@ -242,13 +245,6 @@ def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray
     return np.einsum("cp,cpk->ck", ws, _with_tail(config, table, length, s, grid, weight, tilt))
 
 
-def _pinned(config: DetectorConfig, table: np.ndarray, length: np.ndarray, s: np.ndarray,
-            grid: int, weight: Callable, tilt: float = 0.0) -> np.ndarray:
-    """(C, P, k) density in the time of an n-th click pinned at the P tail lengths s."""
-    s = np.broadcast_to(s, (len(length), len(s)))
-    return _with_tail(config, table, length, s, grid, weight, tilt) / config.tau_m
-
-
 def _richardson(level: Callable):
     """Richardson value over grids N, 2N, 4N and its distance from the coarser pair's.
 
@@ -261,40 +257,60 @@ def _richardson(level: Callable):
     return value, np.abs(value - coarse)
 
 
-def _coefficients(config: DetectorConfig, n_max: int, m_max: int,
-                  carries: Sequence[Optional[float]], weights: Optional[np.ndarray],
+def _coefficients(config: DetectorConfig, n_max: int, weight: Callable, click: float,
+                  size: int, carries: Sequence[Optional[float]], weights: Optional[np.ndarray],
                   tails: Sequence[Union[float, Tuple[float, float]]], grid: int, order: int,
                   tilt: float) -> np.ndarray:
-    """[z^k] F_n in window units per tail, shape (tails, rows, n_max + 1, m_max).
+    """[z^k] F_n in window units per tail, shape (tails, rows, n_max + 1, size).
 
-    One chain on one grid; the rows are ``_chain``'s.  A tail span (lo, hi)
-    integrates the tail length over it; a float tail length pins the n-th
-    click, and its entry is the density in that click's time.
+    One chain on one grid with factor ``weight`` and click weight ``click``;
+    the rows are ``_chain``'s and ``size`` is the weight's series length.  A
+    tail span (lo, hi) integrates the tail length over it; a float tail
+    length pins the n-th click, and its entry is the density in that
+    click's time.  Row 0 is zero.
     """
-
-    def weight(elapsed, exposed):
-        return _powers(np.maximum(elapsed - exposed, 0.0), m_max)
-
-    pinned = [i for i, tail in enumerate(tails) if np.ndim(tail) == 0]
-    spans = [i for i, tail in enumerate(tails) if np.ndim(tail)]
+    spans = [i for i, tail in enumerate(tails) if isinstance(tail, tuple)]
+    pinned = [i for i, tail in enumerate(tails) if not isinstance(tail, tuple)]
     pins = np.array([tails[i] for i in pinned])
-    out = None
-    for n, length, table in _chain(config, carries, weight, 1.0, n_max, grid, tilt, weights):
+    shortest = pins.min() if pins.size else np.inf
+    out = None  # pins first, then spans, so that each step writes whole slices
+    for n, length, table in _chain(config, carries, weight, click, n_max, grid, tilt, weights):
         if out is None:
-            out = np.zeros((len(tails), len(table), n_max + 1, m_max))
+            out = np.zeros((len(tails), len(table), n_max + 1, size))
         k = table.shape[-1]
         rows = [_tail_integral(config, table, length, tails[i], order, grid, weight, tilt)
                 for i in spans]
-        live = pins.size > 0 and np.any(length[:, None] >= pins)
+        live = pins.size > 0 and length.max() >= shortest
         if not live and all(row is None for row in rows):
             break  # every later row is past the click cap
         if live:
-            out[pinned, :, n, :k] = np.moveaxis(
-                _pinned(config, table, length, pins, grid, weight, tilt), 1, 0)
-        for i, row in zip(spans, rows):
+            out[:len(pins), :, n, :k] = (_with_tail(config, table, length, pins[None], grid,
+                                                    weight, tilt) / config.tau_m).swapaxes(0, 1)
+        for i, row in enumerate(rows, len(pins)):
             if row is not None:
                 out[i, :, n, :k] = row
-    return out
+    order = pinned + spans
+    return out if order == sorted(order) else out[np.argsort(order)]
+
+
+def _carries_and_tails(config: DetectorConfig, last_clicks, carries):
+    """Checked carries and the tails of ``last_clicks`` in window units.
+
+    Carries come back as ``(taus, weights)``, fresh as ``([None], None)``;
+    a tail is a span for None or (lo, hi) and a length for a pinned click.
+    """
+    taus, weights = [None], None
+    if carries is not None:
+        taus, weights = [float(c) for c in carries[0]], np.asarray(carries[1], dtype=float)
+        if not all(math.isfinite(c) and c >= 0 for c in taus):
+            raise DomainError("carry gap must be finite and nonnegative")
+        if weights.shape != (len(taus),):
+            raise DomainError("carry weights need one weight per carry")
+    tm = config.tau_m
+    tails = [(0.0, 1.0) if lc is None else
+             (tm - lc) / tm if np.ndim(lc) == 0 else (1.0 - lc[1] / tm, 1.0 - lc[0] / tm)
+             for lc in last_clicks]
+    return taus, weights, tails
 
 
 def serves(config: DetectorConfig, m_max: int = 0) -> bool:
@@ -313,32 +329,32 @@ def serves(config: DetectorConfig, m_max: int = 0) -> bool:
 def fock_tables(config: DetectorConfig, n_max: int, m_max: int,
                 last_clicks: Sequence[Union[None, float, Tuple[float, float]]],
                 carries: Optional[Tuple[Sequence[float], Sequence[float]]] = None):
-    """``fock_table`` for several last clicks of one window, read off one chain.
+    """Every P(n|m) row of a monochromatic-mode window, per last click, off one chain.
 
-    Returns a list with one ``(entries, err)`` per entry of ``last_clicks``.
-    Each equals what ``fock_table`` gives for that entry alone, bit for bit.
+    Returns one ``(entries, err)`` per last click, both (n_max + 1, m_max +
+    1): entries[n, m] for 1 <= n <= m, ``independent.fock_row``'s integral
+    times m!/(m - n)!, and a Richardson error estimate; row 0 and entries
+    with m < n are zero.  ``carries = (taus, weights)`` enters the window
+    with that weighted sum over clicks taus before its start, its estimate
+    the sum of the chain rows' (``_chain``).  A last click (lo, hi)
+    restricts the time of the n-th click; a float pins it there, and
+    entries[n, m] is the density in that time with no click after it.
     """
     if not serves(config, m_max):
         raise DomainError("the renewal engine needs a monochromatic mode, a built-in "
                           f"recovery profile and m_max <= {M_MAX}")
     if not 0 <= n_max <= m_max:
         raise DomainError("the renewal engine needs 0 <= n_max <= m_max")
-    taus, weights = [None], None
-    if carries is not None:
-        taus, weights = [float(c) for c in carries[0]], np.asarray(carries[1], dtype=float)
-        if not all(math.isfinite(c) and c >= 0 for c in taus):
-            raise DomainError("carry gap must be finite and nonnegative")
-        if weights.shape != (len(taus),):
-            raise DomainError("carry weights need one weight per carry")
-    tm = config.tau_m
-    tails = [(0.0, 1.0) if lc is None else
-             (tm - lc) / tm if np.ndim(lc) == 0 else (1.0 - lc[1] / tm, 1.0 - lc[0] / tm)
-             for lc in last_clicks]
+    taus, weights, tails = _carries_and_tails(config, last_clicks, carries)
     fact = np.array([math.factorial(m) for m in range(m_max + 1)], dtype=float)
     tilt = 0.0 if m_max <= _UNTILTED_M_MAX else _TILT
 
+    def weight(elapsed, exposed):
+        return _powers(np.maximum(elapsed - exposed, 0.0), m_max)
+
     def level(grid, order):
-        coef = _coefficients(config, n_max, m_max, taus, weights, tails, grid, order, tilt)
+        coef = _coefficients(config, n_max, weight, 1.0, m_max, taus, weights, tails,
+                             grid, order, tilt)
         entries = np.zeros(coef.shape[:3] + (m_max + 1,))
         for n in range(1, n_max + 1):
             entries[..., n, n:] = fact[n:] * coef[..., n, :m_max - n + 1]
@@ -350,68 +366,37 @@ def fock_tables(config: DetectorConfig, n_max: int, m_max: int,
     return list(zip(value.sum(axis=1), err.sum(axis=1)))
 
 
-def fock_table(config: DetectorConfig, n_max: int, m_max: int,
-               carries: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
-               last_click: Union[None, float, Tuple[float, float]] = None):
-    """Every P(n|m) row of a monochromatic-mode window in one pass.
-
-    Returns ``(entries, err)``, both (n_max + 1, m_max + 1): entries[n, m]
-    for 1 <= n <= m, the integral ``independent.fock_row`` gives times
-    m!/(m - n)!, and a Richardson error estimate.  Row 0 and every entry
-    with m < n are zero.  ``carries = (taus, weights)`` enters the window
-    with that weighted sum over clicks taus before its start; its estimate
-    is the sum of the chain rows' (``_chain``).  ``last_click = (lo, hi)``
-    restricts the time of the n-th click; a float pins it there, and
-    entries[n, m] is the density in that time with no click after it.
-    """
-    return fock_tables(config, n_max, m_max, [last_click], carries)[0]
-
-
-def coherent_table(config: DetectorConfig, n_max: int, a: float,
-                   carry: Optional[float] = None, last_click=None):
-    """Coherent click rows at effective mean ``a`` from one chain of scalar convolutions.
+def coherent_tables(config: DetectorConfig, n_max: int, a: float,
+                    last_clicks: Sequence[Union[None, float, Tuple[float, float]]],
+                    carries: Optional[Tuple[Sequence[float], Sequence[float]]] = None):
+    """Coherent click rows at effective mean ``a``, per last click, off one chain.
 
     At a fixed mean every factor is one number: a xi(g) e^(-a C(g)/tau_m)
     for a click after a gap g, a e^(-a t_1/tau_m) for a fresh first click
     (with a carry, its carried efficiency and exposure) and
     e^(-a C(s)/tau_m) for the tail s.  Apart from the factor a each is at
-    most 1, so the chain needs no photon-number cap and gains no
-    round-off with n.  The chained table A_n(t) is the density of the n-th
-    click at t.
+    most 1, so the chain needs no photon-number cap and gains no round-off
+    with n; its table A_n(t) is the density of the n-th click at t.
 
-    Returns ``(value, err)`` of shape (n_max + 1,): value[n] is the
-    probability of n clicks, the integral of A_n times the tail weight.
-    With ``last_click`` (a time, or an array of P times) the shape is
-    (n_max + 1,) or (n_max + 1, P) and value[n] is the density in the time
-    of the n-th click pinned there with none after it, A_n(t) e^(-a
-    C(tau_m - t)/tau_m).  Row 0 is zero.
+    ``last_clicks`` and ``carries`` take the forms of ``fock_tables``.
+    Returns one ``(value, err)`` of shape (n_max + 1,) per last click:
+    value[n] is the probability of n clicks, the integral of A_n times the
+    tail weight, or at a pin t the density A_n(t) e^(-a C(tau_m - t)/tau_m)
+    of an n-th click there with none after it.  Row 0 is zero.
     """
     if not serves(config):
         raise DomainError("the renewal engine needs a monochromatic mode and a "
                           "built-in recovery profile")
     if n_max < 0:
         raise DomainError("the renewal engine needs n_max >= 0")
-    if carry is not None and not (math.isfinite(carry) and carry >= 0):
-        raise DomainError("carry gap must be finite and nonnegative")
-    tm = config.tau_m
-    tails = None if last_click is None else (tm - np.atleast_1d(last_click)) / tm
+    taus, weights, tails = _carries_and_tails(config, last_clicks, carries)
 
     def weight(elapsed, exposed):
         return np.exp(-a * exposed)[..., None]
 
     def level(grid, order):
-        out = np.zeros((n_max + 1,) + (() if tails is None else tails.shape))
-        for n, length, table in _chain(config, [carry], weight, a, n_max, grid):
-            if tails is not None:
-                out[n] = _pinned(config, table, length, tails, grid, weight)[0, :, 0]
-                continue
-            row = _tail_integral(config, table, length, (0.0, 1.0), order, grid, weight)
-            if row is None:
-                break  # every later row is past the click cap
-            out[n] = row[0, 0]
-        return out
+        return _coefficients(config, n_max, weight, a, 1, taus, weights, tails,
+                             grid, order, 0.0)[..., 0]
 
     value, err = _richardson(level)
-    if last_click is not None and np.ndim(last_click) == 0:
-        return value[:, 0], err[:, 0]
-    return value, err
+    return list(zip(value.sum(axis=1), err.sum(axis=1)))

@@ -133,6 +133,12 @@ def test_usage_errors(tmp_path):
     assert main(["matrix", "--profile", "deadtime", "--m-max", "-1", "--closed-form"]) == 2
     assert main(["matrix", "--profile", "deadtime", "--n-max", "7", "--m-max", "4",
                  "--closed-form"]) == 2
+    # quadrature knobs from a JSON config are type-checked like flags
+    for text in ('{"qmc_samples": NaN, "method": "qmc_sobol"}', '{"qmc_samples": 1e999}',
+                 '{"gauss_order": 2.5, "method": "nested_gauss"}'):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["matrix", "--profile", "exp", "--config", str(cfg)]) == 2
     gaps = tmp_path / "gaps.f64"
     np.array([0.1, 0.2, 0.35]).astype("<f8").tofile(gaps)
     for flags in (["--bin-width", "nan"], ["--t-max", "inf"], ["--rate-hint", "nan"],

@@ -252,6 +252,14 @@ class TestLastClickDensity:
             total += 0.5 * (hi - lo) * float(w @ vals)
         assert math.exp(-1.0) + total == pytest.approx(1.0, abs=1e-4)
 
+    def test_n_cut_checked(self):
+        # 2.5 broke the row range; 0 and -3 summed no rows and gave 0.0
+        for config in (EXP, IDEAL):
+            for n_cut in (2.5, 0, -3):
+                with pytest.raises(DomainError):
+                    last_click_density(config, 4.0, 0.2, SPEC, n_cut=n_cut)
+        assert last_click_density(EXP, 4.0, 0.2, SPEC, n_cut=np.int64(1)) > 0.0
+
     def test_offset_domain_checked(self):
         with pytest.raises(DomainError):
             last_click_density(EXP, 4.0, 1.2, SPEC)

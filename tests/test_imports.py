@@ -1,15 +1,19 @@
-"""Every module-level import of the package and its tests is used.
+"""Every module-level import of the package and its tests is used, and
+every module-level function and class of the package is used by the package.
 
-Standard library only: each file is parsed with ``ast``, and a name a
-top-level import binds must be read somewhere in the same module.
+Standard library only: each file is parsed with ``ast``.  A name a
+top-level import binds must be read somewhere in the same module.  A
+top-level ``def`` or ``class`` of ``src/snspd_stats`` must be referenced
+somewhere in the package, as a name, an attribute, an imported name or a
+string in ``__all__``; code only the tests call does not belong there.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for p in (ROOT / "src" / "snspd_stats").glob("*.py")
-               if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "snspd_stats").glob("*.py"))
+FILES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(path: Path):
@@ -31,3 +35,27 @@ def test_no_unused_module_imports():
     assert FILES
     unused = [entry for path in FILES for entry in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _references(tree: ast.Module):
+    """Names a module reads, the attributes and imported names it uses and its ``__all__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            yield from (elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+
+
+def test_every_package_definition_is_used_by_the_package():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    unused = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+              for path, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in used]
+    assert unused == [], "defined but not used in the package:\n" + "\n".join(unused)

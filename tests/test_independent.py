@@ -282,3 +282,71 @@ def test_threaded_rows_identical(monkeypatch):
     monkeypatch.setenv("SNSPD_THREADS", "3")
     threaded = cond_prob_matrix(EXP, m_max=5, spec=SPEC)
     assert np.array_equal(serial.entries, threaded.entries)
+
+
+class TestPickRows:
+    # a synthetic renewal table: row 1 passes its tolerance, row 2 misses it
+    # with an estimate below the integrated row's (1e-4), row 3 above it
+    VALUE = np.array([[0.0, 0.0], [0.5, 0.25], [0.3, 0.2], [0.1, 0.05]])
+    ERR = np.array([[0.0, 0.0], [1e-9, 1e-10], [1e-5, 1e-7], [1e-2, 1e-3]])
+
+    @staticmethod
+    def _integrator(calls):
+        def integrate(n):
+            calls.append(n)
+            return np.full(2, 10.0 * n), 1e-4
+        return integrate
+
+    def test_rule(self):
+        calls = []
+        chosen, meta = independent._pick_rows(range(1, 4), self.VALUE, self.ERR, SPEC,
+                                              self._integrator(calls), None)
+        assert calls == [2, 3]  # only the rejected rows are integrated
+        assert np.array_equal(chosen[0], self.VALUE[1])
+        assert np.array_equal(chosen[1], self.VALUE[2])  # rejected, but the better row
+        assert np.array_equal(chosen[2], [30.0, 30.0])
+        assert meta == {"engines": ["renewal", "renewal", "nested_gauss"],
+                        "renewal_err": 1e-5, "quad_err": 1e-4}
+
+    def test_scalar_rows_and_a_subset(self):
+        # coherent tables hold one value per row; only the rows asked for are read
+        calls = []
+
+        def integrate(n):
+            calls.append(n)
+            return 10.0 * n, 1e-4
+
+        chosen, meta = independent._pick_rows([2, 3], self.VALUE[:, 0], self.ERR[:, 0], SPEC,
+                                              integrate, None)
+        assert calls == [2, 3]
+        assert chosen == [0.3, 30.0]
+        assert meta == {"engines": ["renewal", "nested_gauss"], "renewal_err": 1e-5,
+                        "quad_err": 1e-4}
+
+    def test_without_a_table_every_row_is_integrated(self):
+        calls = []
+        chosen, meta = independent._pick_rows(range(1, 8), None, None, SPEC,
+                                              self._integrator(calls), 0.9)
+        assert calls == list(range(1, 8))
+        assert [row[0] for row in chosen] == [10.0 * n for n in range(1, 8)]
+        # a pinned row integrates n - 1 free times: Sobol from row 7
+        assert meta == {"engines": ["nested_gauss"] * 6 + ["qmc_sobol"],
+                        "renewal_err": None, "quad_err": 1e-4}
+
+
+def test_single_coherent_row_integrates_only_that_row(monkeypatch):
+    # the engine does not serve a tabulated curve; row 5 alone is integrated
+    config = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
+        [(0.0, 0.0), (0.05, 0.0), (0.3, 0.9), (1.0, 1.0)]))
+    spec = QuadratureSpec(gauss_order=8)
+    integral, calls = independent.window_integral, []
+
+    def spy(config, n, *args, **kwargs):
+        calls.append(n)
+        return integral(config, n, *args, **kwargs)
+
+    monkeypatch.setattr(independent, "window_integral", spy)
+    value = coherent_click_probability(config, 5, 2.0, spec)
+    assert calls == [5]
+    ref, _ = integral(config, 5, lambda dens, expo: dens * np.exp(-2.0 * expo), spec)
+    assert value == 2.0**5 * ref

@@ -14,7 +14,7 @@ from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile, Quadrature
                          click_distribution_independent, cond_prob_matrix,
                          photon_number_dist)
 from snspd_stats.independent import same_count_probability
-from snspd_stats.renewal import fock_table
+from snspd_stats.renewal import fock_tables
 
 CHEAP = QuadratureSpec(gauss_order=8)
 M_MAX = 5
@@ -73,7 +73,7 @@ def test_renewal_rows_meet_their_tolerance_on_the_diagonal(tau_d, tau_r, m_max):
     # past m_max = 24 the chain is tilted; a row it serves must be as good as its estimate says
     config = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(tau_d, tau_r))
     spec = QuadratureSpec()
-    value, err = fock_table(config, 8, m_max)
+    (value, err), = fock_tables(config, 8, m_max, [None])
     for n in range(2, 9):
         if np.all(spec.accepts(value[n], err[n])):
             assert spec.accepts(value[n, n], abs(value[n, n] - same_count_probability(config, n)))

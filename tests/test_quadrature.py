@@ -117,6 +117,15 @@ class TestContract:
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=0.0)
 
+    @pytest.mark.parametrize("field", ["gauss_order", "qmc_samples", "seed"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, 4096.0, "8"])
+    def test_integer_knobs(self, field, bad):
+        # a JSON config is not type-checked: NaN passed the size checks, 1e999
+        # overflowed and 2.5 broke the Gauss rule
+        with pytest.raises(DomainError):
+            QuadratureSpec(**{field: bad})
+        assert getattr(QuadratureSpec(**{field: np.int64(4096)}), field) == 4096
+
     def test_non_finite_aborts_with_point(self):
         def bad(T):
             out = np.ones(len(T))

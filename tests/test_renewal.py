@@ -12,7 +12,7 @@ from snspd_stats.continuous import _carry_nodes, memory_kernels, resolve_delta
 from snspd_stats.independent import (coherent_row, coherent_rows, deadtime_closed_form,
                                      fock_row, number_table, same_count_probability)
 from snspd_stats.quadrature import _gauss
-from snspd_stats.renewal import M_MAX, coherent_table, fock_table
+from snspd_stats.renewal import M_MAX
 from snspd_stats.weights import window_integral
 
 SPEC = QuadratureSpec()
@@ -26,6 +26,11 @@ def _config(kind, tau_d):
     prof = (EfficiencyProfile.exponential(tau_d, 0.2) if kind == "exp"
             else EfficiencyProfile.dead_time(tau_d))
     return DetectorConfig(tau_m=1.0, efficiency=prof)
+
+
+def fock_table(config, n_max, m_max, carries=None, last_click=None):
+    """One last click's table of ``renewal.fock_tables``."""
+    return renewal.fock_tables(config, n_max, m_max, [last_click], carries)[0]
 
 
 def _gauss_rows(config, n_top, m_max, spec, carry=None, last_click=None):
@@ -375,7 +380,7 @@ def test_carries_are_checked():
         with pytest.raises(DomainError):
             fock_table(EXP, 2, 2, ([0.1, carry], [0.5, 0.5]))
         with pytest.raises(DomainError):
-            coherent_table(EXP, 2, 3.0, carry=carry)
+            renewal.coherent_tables(EXP, 2, 3.0, [None], ([carry], [1.0]))
 
 
 def test_pinned_fallback_rows_record_their_free_times():
@@ -395,17 +400,18 @@ def test_pinned_fallback_rows_record_their_free_times():
 @pytest.mark.parametrize("a", [1.0, 4.0])
 def test_coherent_chain_matches_nested_gauss(kind, carry, a):
     config = _config(kind, 0.05)
-    rows = coherent_rows(config, 5, a, SPEC, carry=carry)
-    pinned = coherent_rows(config, 5, a, SPEC, carry=carry, last_click=PINS)
-    assert sorted(rows) == sorted(pinned) == [1, 2, 3, 4, 5]
+    carries = None if carry is None else ([carry], [1.0])
+    (rows, meta), *pinned = coherent_rows(config, range(1, 6), a, SPEC, [None, *PINS], carries)
+    for engines in [meta["engines"]] + [m["engines"] for _, m in pinned]:
+        assert engines == ["renewal"] * 5
     for n in range(1, 6):
         # a single row runs the chain up to n and gets the same value
-        assert coherent_row(config, n, a, SPEC, carry=carry) == rows[n]
+        assert coherent_row(config, n, a, SPEC, carry=carry) == rows[n - 1]
         ref = coherent_row(config, n, a, GAUSS, carry=carry)
-        assert abs(rows[n] - ref) < 1e-10
-        for t, value in zip(PINS, pinned[n]):
+        assert abs(rows[n - 1] - ref) < 1e-10
+        for t, (values, _) in zip(PINS, pinned):
             ref = coherent_row(config, n, a, GAUSS, carry=carry, last_click=t)
-            assert abs(value - ref) < 1e-10
+            assert abs(values[n - 1] - ref) < 1e-10
 
 
 @pytest.mark.parametrize("config", [EXP, DEAD], ids=["exp", "dead"])
@@ -435,13 +441,9 @@ def _integral(config, n, a, spec, carry=None, last_click=None):
 
 
 def _integral_density(config, a, tau, spec, carry, n_cut):
-    total = 0.0
-    for n in range(1, n_cut + 1):
-        term = _integral(config, n, a, spec, carry=carry, last_click=1.0 - tau)
-        total += term
-        if n > a and term < 1e-9 * max(total, 1e-300):
-            break
-    return total
+    """Rows 1..n_cut of the quadrature route at the pin 1 - tau, added in order."""
+    return sum(_integral(config, n, a, spec, carry=carry, last_click=1.0 - tau)
+               for n in range(1, n_cut + 1))
 
 
 COARSE = QuadratureSpec(gauss_order=8)
@@ -458,7 +460,8 @@ FALLBACK_CASES = [
 @pytest.mark.parametrize("config, spec", FALLBACK_CASES,
                          ids=["tabulated_profile", "tabulated_mode", "nested_gauss", "qmc_sobol"])
 def test_unserved_coherent_rows_fall_back_bit_for_bit(config, spec):
-    assert coherent_rows(config, 3, 1.0, spec) == {}
+    (_, meta), = coherent_rows(config, range(1, 4), 1.0, spec, [None])
+    assert "renewal" not in meta["engines"] and meta["renewal_err"] is None
     for n in range(1, 4):
         assert coherent_click_probability(config, n, 1.0, spec) == _integral(config, n, 1.0, spec)
         assert coherent_click_probability_after_gap(config, n, 1.0, 0.02, spec) == \
@@ -473,13 +476,16 @@ def test_unserved_coherent_rows_fall_back_bit_for_bit(config, spec):
 def test_rejected_coherent_rows_fall_back_bit_for_bit():
     # a recovery far faster than the grid step: the estimate flags rows 2-3
     fast = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 5e-6))
-    assert sorted(coherent_rows(fast, 3, 1.0, SPEC)) == [1]
-    assert sorted(coherent_rows(fast, 3, 1.0, SPEC, last_click=np.array([0.6, 0.9]))) == [1]
+    # (the quadrature rows estimate 3e-9 to 6e-9, against the chain's 6e-5 to 1e-4)
+    for _, meta in coherent_rows(fast, range(1, 4), 1.0, SPEC, [None, 0.6, 0.9]):
+        assert meta["engines"] == ["renewal", "nested_gauss", "nested_gauss"]
+        assert meta["quad_err"] < 1e-8
     for n in (2, 3):
         assert coherent_click_probability(fast, n, 1.0, SPEC) == _integral(fast, n, 1.0, SPEC)
     taus = np.array([0.1, 0.4])
-    value, _ = coherent_table(fast, 1, 1.0, last_click=1.0 - taus)
+    tables = renewal.coherent_tables(fast, 1, 1.0, list(1.0 - taus))
     got = last_click_density(fast, 1.0, taus, SPEC, n_cut=3)
-    ref = [value[1, j] + _integral(fast, 2, 1.0, SPEC, last_click=1.0 - t)
-           + _integral(fast, 3, 1.0, SPEC, last_click=1.0 - t) for j, t in enumerate(taus)]
+    ref = [value[1] + _integral(fast, 2, 1.0, SPEC, last_click=1.0 - t)
+           + _integral(fast, 3, 1.0, SPEC, last_click=1.0 - t)
+           for (value, _), t in zip(tables, taus)]
     assert np.array_equal(got, ref)

@@ -4,7 +4,8 @@ A digest is the first 16 hex digits of the sha256 of the comma-joined
 ``repr`` of every float of the output, the scheme of
 ``results._payload_digest``; text outputs hash their bytes.  Every output
 uses ``QuadratureSpec(seed=3)``, tau_m = 1, exp = (tau_d 0.05, tau_r 0.2),
-dead = tau_d 0.05 and, for the memory model, ``CwConfig(delta=0.3)``.
+dead = tau_d 0.05, fast = exp with tau_r 5e-6 and, for the memory model,
+``CwConfig(delta=0.3)``.
 
 Run it on two checkouts and compare the lines (timings go to stderr): a
 digest moves only where a change means to move it.
@@ -49,6 +50,7 @@ LOSSY = DetectorConfig(tau_m=1.0, eta=0.8, nu=0.1, efficiency=EXP.efficiency)
 _KNOTS = np.linspace(0.0, 1.0, 501)  # the exp curve sampled at step 0.002
 TABULATED = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
     list(zip(_KNOTS, EXP.efficiency.value(_KNOTS)))))
+FAST = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 5e-6))
 OFFSETS = np.array([0.01, 0.03, 0.1, 0.27, 0.6])
 CARRIES = (0.0, 0.02, 0.05, 0.1, 0.3, 5.0)
 
@@ -71,6 +73,14 @@ def _coherent():
 def _after_gap():
     return [coherent_click_probability_after_gap(c, n, 3.0, g, SPEC)
             for c in (EXP, DEAD, IDEAL) for n in range(7) for g in CARRIES]
+
+
+def _rejected_coherent():
+    # the chain's estimate rejects rows 2-3 of this fast recovery
+    return np.concatenate([
+        [coherent_click_probability(FAST, n, 1.0, SPEC) for n in range(4)],
+        [coherent_click_probability_after_gap(FAST, n, 1.0, 0.02, SPEC) for n in range(4)],
+        last_click_density(FAST, 1.0, OFFSETS, SPEC, n_cut=3)])
 
 
 def _fock_density(spec, ms):
@@ -107,6 +117,12 @@ OUTPUTS = {
     "last_click dead a 4 carry 0.02":
         lambda: last_click_density(DEAD, 4.0, OFFSETS, SPEC, carry=0.02),
     "last_click exp a 1": lambda: last_click_density(EXP, 1.0, OFFSETS, SPEC),
+    "last_click tabulated a 1 n_cut 4 | carry 0.02, pinned quadrature rows":
+        lambda: np.concatenate([
+            last_click_density(TABULATED, 1.0, OFFSETS, QuadratureSpec(seed=3, gauss_order=8),
+                               carry=c, n_cut=4) for c in (None, 0.02)]),
+    "coherent | after_gap carry 0.02 | last_click n_cut 3, tau_r 5e-6 a 1, rejected rows":
+        _rejected_coherent,
     "last_click_fock exp m 1,3,8 | dead carry 0.02 m 1,3,8":
         lambda: _fock_density(SPEC, (1, 3, 8)),
     "last_click_fock nested_gauss exp m 1,3,5 | dead carry 0.02 m 1,3,5, the kernel reference":
