@@ -187,7 +187,7 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
         click * xi(c / tm + t)[:, None] * weight(t, cum(c / tm + t) - cum(c / tm))
         for c, t in zip(carries, offsets[:, None] + u)])
     if weights is not None and len(carries) == 1:
-        table = weights[0] * table  # a single carry is its own row
+        table = weights[0] * table  # one carry: skip the grouping's overhead
     elif weights is not None:
         offsets, row = np.unique(offsets, return_inverse=True)
         table = np.stack([np.tensordot(weights[row == r], table[row == r], 1)
@@ -269,28 +269,26 @@ def _coefficients(config: DetectorConfig, n_max: int, weight: Callable, click: f
     length pins the n-th click, and its entry is the density in that
     click's time.  Row 0 is zero.
     """
-    spans = [i for i, tail in enumerate(tails) if isinstance(tail, tuple)]
-    pinned = [i for i, tail in enumerate(tails) if not isinstance(tail, tuple)]
+    pinned = [i for i, tail in enumerate(tails) if np.ndim(tail) == 0]
+    spans = [i for i, tail in enumerate(tails) if np.ndim(tail)]
     pins = np.array([tails[i] for i in pinned])
-    shortest = pins.min() if pins.size else np.inf
-    out = None  # pins first, then spans, so that each step writes whole slices
+    out = np.zeros((len(tails), 1, n_max + 1, size))  # stays zero when n_max = 0
     for n, length, table in _chain(config, carries, weight, click, n_max, grid, tilt, weights):
-        if out is None:
+        if n == 1:
             out = np.zeros((len(tails), len(table), n_max + 1, size))
         k = table.shape[-1]
         rows = [_tail_integral(config, table, length, tails[i], order, grid, weight, tilt)
                 for i in spans]
-        live = pins.size > 0 and length.max() >= shortest
+        live = pins.size > 0 and np.any(length[:, None] >= pins)
         if not live and all(row is None for row in rows):
             break  # every later row is past the click cap
         if live:
-            out[:len(pins), :, n, :k] = (_with_tail(config, table, length, pins[None], grid,
-                                                    weight, tilt) / config.tau_m).swapaxes(0, 1)
-        for i, row in enumerate(rows, len(pins)):
+            out[pinned, :, n, :k] = (_with_tail(config, table, length, pins[None], grid,
+                                                weight, tilt) / config.tau_m).swapaxes(0, 1)
+        for i, row in zip(spans, rows):
             if row is not None:
                 out[i, :, n, :k] = row
-    order = pinned + spans
-    return out if order == sorted(order) else out[np.argsort(order)]
+    return out
 
 
 def _carries_and_tails(config: DetectorConfig, last_clicks, carries):

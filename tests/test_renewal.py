@@ -383,6 +383,14 @@ def test_carries_are_checked():
             renewal.coherent_tables(EXP, 2, 3.0, [None], ([carry], [1.0]))
 
 
+def test_zero_rows_give_zero_tables():
+    # n_max = 0 runs no chain step; row 0 is zero
+    for value, err in renewal.coherent_tables(EXP, 0, 3.0, [None, 0.9], ([0.02], [1.0])):
+        assert value.shape == err.shape == (1,) and not value.any() and not err.any()
+    (entries, err), = renewal.fock_tables(EXP, 0, 2, [None])
+    assert entries.shape == err.shape == (1, 3) and not entries.any() and not err.any()
+
+
 def test_pinned_fallback_rows_record_their_free_times():
     # the pinned sixth row integrates five free times by nested Gauss
     spec = QuadratureSpec(method="nested_gauss", gauss_order=8)
