@@ -54,29 +54,31 @@ _DEFAULTS = {
 }
 
 
+_FLAGS = {
+    "tau_m": dict(type=float), "eta": dict(type=float), "nu": dict(type=float),
+    "profile": dict(type=str, help="ideal | deadtime | exp | tabulated:FILE.csv"),
+    "tau_d": dict(type=float), "tau_r": dict(type=float),
+    "time_unit": dict(type=str, choices=["taum", "seconds"]),
+    "method": dict(type=str, choices=["auto", "nested_gauss", "qmc_sobol"]),
+    "rel_tol": dict(type=float), "abs_tol": dict(type=float),
+    "gauss_order": dict(type=int), "qmc_samples": dict(type=int),
+    "seed": dict(type=int), "format": dict(type=str, choices=["json", "csv"]),
+    "state": dict(type=str, help="coherent:A | fock:K | squeezed:R | vacuum"),
+    "delta": dict(type=float), "windows": dict(type=int),
+    "memory_depth": dict(type=str), "trials": dict(type=int),
+    "carry": dict(type=str, help="fresh | fixed:TAU | contiguous"),
+    "windows_per_trial": dict(type=int), "n_max": dict(type=int),
+    "m_max": dict(type=int), "bin_width": dict(type=float),
+    "t_max": dict(type=float), "rate_hint": dict(type=float),
+    "tail_correction": dict(type=str, choices=["auto", "none", "rate", "self"]),
+    "min_preceding_gap": dict(type=float),
+}
+
+
 def _add_common(p: argparse.ArgumentParser, *names):
-    spec_of = {
-        "tau_m": dict(type=float), "eta": dict(type=float), "nu": dict(type=float),
-        "profile": dict(type=str, help="ideal | deadtime | exp | tabulated:FILE.csv"),
-        "tau_d": dict(type=float), "tau_r": dict(type=float),
-        "time_unit": dict(type=str, choices=["taum", "seconds"]),
-        "method": dict(type=str, choices=["auto", "nested_gauss", "qmc_sobol"]),
-        "rel_tol": dict(type=float), "abs_tol": dict(type=float),
-        "gauss_order": dict(type=int), "qmc_samples": dict(type=int),
-        "seed": dict(type=int), "format": dict(type=str, choices=["json", "csv"]),
-        "state": dict(type=str, help="coherent:A | fock:K | squeezed:R | vacuum"),
-        "delta": dict(type=float), "windows": dict(type=int),
-        "memory_depth": dict(type=str), "trials": dict(type=int),
-        "carry": dict(type=str, help="fresh | fixed:TAU | contiguous"),
-        "windows_per_trial": dict(type=int), "n_max": dict(type=int),
-        "m_max": dict(type=int), "bin_width": dict(type=float),
-        "t_max": dict(type=float), "rate_hint": dict(type=float),
-        "tail_correction": dict(type=str, choices=["auto", "none", "rate", "self"]),
-        "min_preceding_gap": dict(type=float),
-    }
     for name in names:
         p.add_argument("--" + name.replace("_", "-"), dest=name,
-                       default=None, **spec_of[name])
+                       default=None, **_FLAGS[name])
     p.add_argument("--config", dest="config_file", default=None,
                    help="JSON file with flag values (explicit flags override)")
     p.add_argument("--out", dest="out", default=None)
@@ -90,6 +92,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(_DEFAULTS)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            _check_type(key, val)
         resolved.update(file_cfg)
     for key in _DEFAULTS:
         val = getattr(args, key, None)
@@ -97,6 +101,19 @@ def _resolve(args: argparse.Namespace) -> dict:
             resolved[key] = val
     resolved["out"] = getattr(args, "out", None)
     return resolved
+
+
+def _check_type(key: str, val) -> None:
+    """A ``--config`` value must have its flag's type (an int passes for a float).
+
+    Null is accepted where the default is null.
+    """
+    kind = _FLAGS[key]["type"]
+    if val is None and _DEFAULTS[key] is None:
+        return
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(val, allowed) or isinstance(val, bool):
+        raise DomainError(f"config key {key!r} needs a {kind.__name__}, got {val!r}")
 
 
 def _time_scale(r: dict) -> float:

@@ -158,7 +158,7 @@ def number_tables(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratu
     cap = config.max_clicks()
     top = n_max if cap is None else min(cap, n_max)
     tables = [(None, None)] * len(last_clicks)
-    if spec.method == "auto" and top >= 1 and renewal.serves(config, m_max):
+    if spec.method == "auto" and top >= 1 and renewal.serves(config, m_max, last_clicks, carries):
         tables = renewal.fock_tables(config, top, m_max, last_clicks, carries)
     return [_number_table(config, n_max, m_max, spec, top, carries, last_click, value, err)
             for last_click, (value, err) in zip(last_clicks, tables)]
@@ -246,7 +246,7 @@ def coherent_rows(config: DetectorConfig, rows, a: float, spec: QuadratureSpec,
     last click, values[i] for rows[i].
     """
     tables = [(None, None)] * len(last_clicks)
-    if spec.method == "auto" and renewal.serves(config):
+    if spec.method == "auto" and renewal.serves(config, 0, last_clicks, carries):
         tables = renewal.coherent_tables(config, max(rows), a, last_clicks, carries)
     taus, tws = ([None], [1.0]) if carries is None else carries
 

@@ -39,6 +39,15 @@ chained table read off a local interpolant.  Read at one tail length
 instead, the table gives the density in the time of a pinned last click.
 Tables at three grid sizes give a Richardson value and an error estimate.
 
+A tabulated recovery curve kinks at every knot.  It is served when every
+point where an integrand can kink lies on the coarsest grid's lattice,
+the multiples of tau_m/_GRID: the knots the window can reach, the carries
+and the last-click bounds and pins (``serves``).  Then every trapezoid
+panel is smooth, the h^2 term of the Euler-Maclaurin expansion keeps its
+coefficient on all three grids and the Richardson estimate holds.  Such a
+curve has no dead time (b = 0), its last convolution is a trapezoid sum on
+the grid nodes like the others, and every read-off lands on a node.
+
 At a fixed mean a, coherent light needs no z-series: e^(-a exposure)
 factors into one number per gap and for the tail, so the same chain with
 scalar factors gives the coherent rows and, before its last step, the
@@ -91,6 +100,10 @@ _LAGRANGE = 8      # points of the local interpolant of the chained table (degre
 _NODES = np.arange(_LAGRANGE)
 _SAME = _NODES[:, None] == _NODES
 _SPREAD = np.where(_SAME, 1, _NODES[:, None] - _NODES)
+
+# A tabulated curve's kink points may sit this many grid steps off the
+# coarsest lattice (float round-off of knots such as 0.01 + 0.02 k).
+_LATTICE_TOL = 1e-9
 
 # Gauss order per panel of the last convolution on the coarsest grid.  It
 # doubles with the grid, so that a tail the rule does not resolve (a
@@ -208,14 +221,19 @@ def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
                s: np.ndarray, grid: int, weight: Callable, tilt: float = 0.0) -> np.ndarray:
     """(C, P, k) chained table at tail lengths s (C or 1, P) times the tail weight.
 
-    The table is read off its local interpolant at 1 - s and its ``_chain``
-    tilt undone there; a tail longer than ``length`` leaves no room for the
-    click and gives zero.
+    The table is read off its local interpolant at 1 - s, or at the node
+    there for a tabulated curve (``serves`` put every read-off on one), and
+    its ``_chain`` tilt undone there; a tail longer than ``length`` leaves
+    no room for the click and gives zero.
     """
     _, _, cum = _scaled(config)
     pos = length[:, None] - s
     at = np.clip(pos, 0.0, 1.0)
-    head = _interpolate(table, at, grid) * np.exp(tilt * at)[..., None]
+    if config.efficiency.kind == "tabulated":
+        head = table[np.arange(len(table))[:, None], np.rint(at * grid).astype(int)]
+    else:
+        head = _interpolate(table, at, grid)
+    head = head * np.exp(tilt * at)[..., None]
     k = table.shape[-1]
     tail = weight(s, cum(s))[..., :k].transpose(2, 0, 1)
     product = _series_product(head.transpose(2, 0, 1), tail, k).transpose(1, 2, 0)
@@ -227,9 +245,20 @@ def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray
                    weight: Callable, tilt: float = 0.0) -> Optional[np.ndarray]:
     """(C, k) integral of ``_with_tail`` over tails s in ``span``.
 
-    The Gauss rule is split at s = b, where the tail weight kinks.  None
-    when no carry leaves room for a tail in the span.
+    The Gauss rule is split at s = b, where the tail weight kinks.  A
+    tabulated curve's tail weight kinks at its knots, which ``serves`` put
+    on the grid nodes with the span's ends: its tail is a trapezoid sum on
+    those nodes (it has no dead time, so ``length`` is 1).  None when no
+    carry leaves room for a tail in the span.
     """
+    if config.efficiency.kind == "tabulated":
+        j = np.arange(round(max(0.0, span[0]) * grid), round(min(1.0, span[1]) * grid) + 1)
+        if len(j) < 2:
+            return None
+        ws = np.full(len(j), 1.0 / grid)
+        ws[[0, -1]] *= 0.5
+        return np.einsum("p,cpk->ck", ws, _with_tail(config, table, length, j[None] / grid,
+                                                      grid, weight, tilt))
     b = _scaled(config)[0]
     lo = np.full(len(length), max(0.0, span[0]))
     hi = np.minimum(length, span[1])
@@ -311,17 +340,32 @@ def _carries_and_tails(config: DetectorConfig, last_clicks, carries):
     return taus, weights, tails
 
 
-def serves(config: DetectorConfig, m_max: int = 0) -> bool:
-    """Whether the engine covers this configuration and photon range.
+def serves(config: DetectorConfig, m_max: int = 0,
+           last_clicks: Sequence[Union[None, float, Tuple[float, float]]] = (None,),
+           carries: Optional[Tuple[Sequence[float], Sequence[float]]] = None) -> bool:
+    """Whether the engine covers this configuration, photon range and window.
 
     Tabulated modes are not shift-invariant.  A tabulated recovery curve
-    kinks at every knot, which the last convolution's Gauss rule does not
-    resolve: for the exponential curve sampled at step 0.002 the estimate
-    of row 1 is 9e-7 (true error 5e-8), so its rows would fail the
-    tolerance test and the table would be work thrown away.
+    kinks at every knot, and a kink between grid nodes breaks the h^2 error
+    expansion the Richardson estimate rests on: with one fixed tail rule
+    the estimate read 6e-17 against a true error of 2.3e-7.  So the curve
+    is served only when every kink point lies on the lattice of the
+    coarsest grid, multiples of tau_m/_GRID: every knot in [0, tau_m + the
+    largest carry], every carry and every bound and pin of ``last_clicks``
+    (the forms of ``fock_tables``).  One point off the lattice and the
+    chain does not run for any of them.
     """
-    return (config.mode.kind == "monochromatic" and config.efficiency.kind != "tabulated"
-            and m_max <= M_MAX)
+    if config.mode.kind != "monochromatic" or m_max > M_MAX:
+        return False
+    if config.efficiency.kind != "tabulated":
+        return True
+    tm = config.tau_m
+    taus = np.zeros(0) if carries is None else np.asarray(carries[0], dtype=float) / tm
+    knots = np.array([t for t, _ in config.efficiency.table]) / tm
+    reach = knots <= 1.0 + (taus.max() if len(taus) else 0.0)
+    bounds = [float(t) / tm for lc in last_clicks if lc is not None for t in np.atleast_1d(lc)]
+    steps = np.concatenate([knots[reach], taus, bounds]) * _GRID
+    return bool(np.all(np.abs(steps - np.rint(steps)) <= _LATTICE_TOL))
 
 
 def fock_tables(config: DetectorConfig, n_max: int, m_max: int,
@@ -338,9 +382,10 @@ def fock_tables(config: DetectorConfig, n_max: int, m_max: int,
     restricts the time of the n-th click; a float pins it there, and
     entries[n, m] is the density in that time with no click after it.
     """
-    if not serves(config, m_max):
+    if not serves(config, m_max, last_clicks, carries):
         raise DomainError("the renewal engine needs a monochromatic mode, a built-in "
-                          f"recovery profile and m_max <= {M_MAX}")
+                          "recovery profile or one whose knots, carries and last clicks "
+                          f"lie on its grid, and m_max <= {M_MAX}")
     if not 0 <= n_max <= m_max:
         raise DomainError("the renewal engine needs 0 <= n_max <= m_max")
     taus, weights, tails = _carries_and_tails(config, last_clicks, carries)
@@ -382,9 +427,10 @@ def coherent_tables(config: DetectorConfig, n_max: int, a: float,
     tail weight, or at a pin t the density A_n(t) e^(-a C(tau_m - t)/tau_m)
     of an n-th click there with none after it.  Row 0 is zero.
     """
-    if not serves(config):
-        raise DomainError("the renewal engine needs a monochromatic mode and a "
-                          "built-in recovery profile")
+    if not serves(config, 0, last_clicks, carries):
+        raise DomainError("the renewal engine needs a monochromatic mode and a built-in "
+                          "recovery profile or one whose knots, carries and last clicks "
+                          "lie on its grid")
     if n_max < 0:
         raise DomainError("the renewal engine needs n_max >= 0")
     taus, weights, tails = _carries_and_tails(config, last_clicks, carries)

@@ -133,9 +133,10 @@ def test_usage_errors(tmp_path):
     assert main(["matrix", "--profile", "deadtime", "--m-max", "-1", "--closed-form"]) == 2
     assert main(["matrix", "--profile", "deadtime", "--n-max", "7", "--m-max", "4",
                  "--closed-form"]) == 2
-    # quadrature knobs from a JSON config are type-checked like flags
+    # values from a JSON config are type-checked like flags
     for text in ('{"qmc_samples": NaN, "method": "qmc_sobol"}', '{"qmc_samples": 1e999}',
-                 '{"gauss_order": 2.5, "method": "nested_gauss"}'):
+                 '{"gauss_order": 2.5, "method": "nested_gauss"}', '{"tau_m": "1"}',
+                 '{"rel_tol": "1e-6"}'):
         cfg = tmp_path / "config.json"
         cfg.write_text(text)
         assert main(["matrix", "--profile", "exp", "--config", str(cfg)]) == 2

@@ -335,9 +335,10 @@ class TestPickRows:
 
 
 def test_single_coherent_row_integrates_only_that_row(monkeypatch):
-    # the engine does not serve a tabulated curve; row 5 alone is integrated
+    # the engine does not serve a tabulated curve with a knot off its grid
+    # (0.3003); row 5 alone is integrated
     config = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
-        [(0.0, 0.0), (0.05, 0.0), (0.3, 0.9), (1.0, 1.0)]))
+        [(0.0, 0.0), (0.05, 0.0), (0.3003, 0.9), (1.0, 1.0)]))
     spec = QuadratureSpec(gauss_order=8)
     integral, calls = independent.window_integral, []
 

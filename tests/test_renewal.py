@@ -11,7 +11,9 @@ from snspd_stats import (CwConfig, DetectorConfig, DomainError, EfficiencyProfil
 from snspd_stats.continuous import _carry_nodes, memory_kernels, resolve_delta
 from snspd_stats.independent import (coherent_row, coherent_rows, deadtime_closed_form,
                                      fock_row, number_table, same_count_probability)
+from snspd_stats.montecarlo import simulate_interpulse_gaps
 from snspd_stats.quadrature import _gauss
+from snspd_stats.reconstruct import ReconstructionSpec, reconstruct_details
 from snspd_stats.renewal import M_MAX
 from snspd_stats.weights import window_integral
 
@@ -199,8 +201,9 @@ def test_unserved_configurations_fall_back_bit_for_bit():
     cases = [
         (DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2),
                         mode=mode), 3, 4),
+        # the knot 0.3003 is off the lattice of multiples of tau_m/500
         (DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
-            [(0.0, 0.0), (0.05, 0.0), (0.3, 0.9), (1.0, 1.0)])), 3, 4),
+            [(0.0, 0.0), (0.05, 0.0), (0.3003, 0.9), (1.0, 1.0)])), 3, 4),
         (_config("dead", 0.333), 4, M_MAX + 8),
     ]
     for config, n_max, m_max in cases:
@@ -455,9 +458,9 @@ def _integral_density(config, a, tau, spec, carry, n_cut):
 
 
 COARSE = QuadratureSpec(gauss_order=8)
-FALLBACK_CASES = [
+FALLBACK_CASES = [  # the knot 0.3003 is off the lattice of multiples of tau_m/500
     (DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
-        [(0.0, 0.0), (0.05, 0.0), (0.3, 0.9), (1.0, 1.0)])), COARSE),
+        [(0.0, 0.0), (0.05, 0.0), (0.3003, 0.9), (1.0, 1.0)])), COARSE),
     (DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2),
                     mode=ModeProfile.tabulated([(0.0, 1.0), (0.5, 2.0), (1.0, 1.0)])), COARSE),
     (EXP, QuadratureSpec(method="nested_gauss", gauss_order=8)),
@@ -497,3 +500,106 @@ def test_rejected_coherent_rows_fall_back_bit_for_bit():
            + _integral(fast, 3, 1.0, SPEC, last_click=1.0 - t)
            for (value, _), t in zip(tables, taus)]
     assert np.array_equal(got, ref)
+
+
+# -- tabulated curves on the grid's lattice ---------------------------------
+
+_KNOTS = np.linspace(0.0, 1.0, 501)  # the exp curve sampled at step 0.002
+TAB = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
+    list(zip(_KNOTS, EXP.efficiency.value(_KNOTS)))))
+
+
+def _knot_panels(lo, hi, order=20):
+    """Gauss nodes and weights on [lo, hi], one panel between each pair of knots."""
+    edges = np.unique(np.concatenate([[lo, hi], _KNOTS[(_KNOTS > lo) & (_KNOTS < hi)]]))
+    x, w = _gauss(order)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def test_tabulated_rows_match_knot_panel_gauss():
+    # a fresh window's first click loses no exposure, so row 1 is one
+    # integral over the tail s: P(1|m) = m int D(s)^(m-1), D(s) = s - C(s)
+    prof = TAB.efficiency
+    s, ws = _knot_panels(0.0, 1.0)
+    mat = cond_prob_matrix(TAB, n_max=4, m_max=6, spec=SPEC)
+    assert mat.meta["engines"] == ["closed_form"] + ["renewal"] * 4
+    assert mat.meta["quad_err"] is None and mat.meta["renewal_err"] < 1e-9
+    ref = [m * ws @ (s - prof.cumulative(s)) ** (m - 1) for m in range(1, 7)]
+    assert np.abs(mat.entries[1, 1:] - ref).max() < 1e-10
+    assert np.abs(mat.column_sums()[:5] - 1.0).max() < 1e-10
+    for a in (0.5, 2.0, 4.0):
+        (rows, meta), = coherent_rows(TAB, [1, 2], a, SPEC, [None])
+        assert meta["engines"] == ["renewal"] * 2
+        ref = ws @ (a * np.exp(-a * (1.0 - s) - a * prof.cumulative(s)))
+        assert abs(rows[0] - ref) < 1e-10
+
+
+@pytest.mark.parametrize("carry", [None, 0.02])
+def test_tabulated_last_click_density_matches_knot_panel_gauss(carry):
+    # rows 1 and 2 at a pin t: the first click's density in closed form and
+    # the second's one integral over the first click, split at every knot
+    # (the pin, the carry and the knots share the lattice)
+    prof, a = TAB.efficiency, 4.0
+    offsets = np.array([0.01, 0.1, 0.27, 0.6])
+    carries = None if carry is None else ([carry], [1.0])
+    for _, meta in coherent_rows(TAB, [1, 2], a, SPEC, list(1.0 - offsets), carries):
+        assert meta["engines"] == ["renewal"] * 2
+
+    def first(t):
+        if carry is None:
+            return a * np.exp(-a * t)
+        return a * prof.value(carry + t) * np.exp(-a * (prof.cumulative(carry + t)
+                                                        - prof.cumulative(carry)))
+
+    got = last_click_density(TAB, a, offsets, SPEC, carry=carry, n_cut=2)
+    for tau, value in zip(offsets, got):
+        t = 1.0 - tau
+        t1, w1 = _knot_panels(0.0, t)
+        gap = t - t1
+        second = w1 @ (first(t1) * a * prof.value(gap) * np.exp(-a * prof.cumulative(gap)))
+        assert abs(value - (first(t) + second) * np.exp(-a * prof.cumulative(tau))) < 1e-10
+
+
+_COARSE_KNOTS = np.linspace(0.0, 1.0, 51)  # step 0.02, on the lattice; quick quadrature
+COARSE_TAB = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
+    list(zip(_COARSE_KNOTS, EXP.efficiency.value(_COARSE_KNOTS)))))
+
+
+# a knot off the lattice: the tabulated curve of the two ``unserved`` tests
+@pytest.mark.parametrize("carry, last_click", [(0.0213, None), (None, 0.7003)],
+                         ids=["carry", "pin"])
+def test_off_lattice_tabulated_falls_back_bit_for_bit(carry, last_click):
+    config = COARSE_TAB
+    carries = None if carry is None else (np.array([carry]), np.array([1.0]))
+    assert not renewal.serves(config, 4, [last_click], carries)
+    with pytest.raises(DomainError):
+        renewal.fock_tables(config, 3, 4, [last_click], carries)
+    with pytest.raises(DomainError):
+        renewal.coherent_tables(config, 3, 1.0, [last_click], carries)
+    entries, meta = number_table(config, 3, 4, COARSE, carries=carries, last_click=last_click)
+    assert "renewal" not in meta["engines"] and meta["renewal_err"] is None
+    ref = _gauss_rows(config, 3, 4, COARSE, carry=carry, last_click=last_click)
+    assert np.array_equal(entries[1:], ref[1:])
+    (rows, meta), = coherent_rows(config, range(1, 4), 1.0, COARSE, [last_click], carries)
+    assert "renewal" not in meta["engines"] and meta["renewal_err"] is None
+    assert np.array_equal(rows, [_integral(config, n, 1.0, COARSE, carry=carry,
+                                           last_click=last_click) for n in range(1, 4)])
+
+
+def test_gauss_node_carries_are_off_the_lattice():
+    # carryover_matrix and memory_kernels average over Gauss-node carries:
+    # their carried tables keep falling back on a tabulated curve
+    assert renewal.serves(TAB, 8, [None, (0.7, 1.0)], ([0.02, 0.3], [0.5, 0.5]))
+    assert not renewal.serves(TAB, 8, [None, (0.7, 1.0)], _carry_nodes(TAB, 0.3))
+
+
+def test_reconstructed_curve_is_served():
+    # criterion 10's reconstruction has knots at the bin centres 0.01 + 0.02 k
+    gaps = simulate_interpulse_gaps(EXP, rate=0.25, n_gaps=100_000, seed=42)
+    res = reconstruct_details(gaps, ReconstructionSpec(bin_width=0.02, t_max=1.6))
+    assert np.allclose(res.centers, 0.01 + 0.02 * np.arange(80))
+    mat = cond_prob_matrix(DetectorConfig(tau_m=1.0, efficiency=res.profile),
+                           n_max=4, m_max=4, spec=SPEC)
+    assert mat.meta["engines"] == ["closed_form"] + ["renewal"] * 4
+    assert np.abs(mat.column_sums() - 1.0).max() < 1e-10

@@ -50,6 +50,10 @@ LOSSY = DetectorConfig(tau_m=1.0, eta=0.8, nu=0.1, efficiency=EXP.efficiency)
 _KNOTS = np.linspace(0.0, 1.0, 501)  # the exp curve sampled at step 0.002
 TABULATED = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
     list(zip(_KNOTS, EXP.efficiency.value(_KNOTS)))))
+_STEPS = np.linspace(0.0, 1.0, 51)
+_STEPS[15] = 0.3003  # one knot off the 1/500 lattice: the chain does not serve the curve
+OFF_LATTICE = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
+    list(zip(_STEPS, EXP.efficiency.value(_STEPS)))))
 FAST = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 5e-6))
 OFFSETS = np.array([0.01, 0.03, 0.1, 0.27, 0.6])
 CARRIES = (0.0, 0.02, 0.05, 0.1, 0.3, 5.0)
@@ -100,6 +104,8 @@ OUTPUTS = {
     "matrix dead m_max 64": lambda: cond_prob_matrix(DEAD, m_max=64, spec=SPEC).entries,
     "matrix tabulated m_max 6":
         lambda: cond_prob_matrix(TABULATED, m_max=6, spec=SPEC).entries,
+    "matrix tabulated off the lattice m_max 4, quadrature rows":
+        lambda: cond_prob_matrix(OFF_LATTICE, m_max=4, spec=SPEC).entries,
     "carryover exp m_max 8": lambda: carryover_matrix(EXP, CW, m_max=8, spec=SPEC).entries,
     "kernels exp m_max 8 (a|b|c|D)": lambda: _kernels(EXP, 8),
     "kernels exp m_max 11 (a|b|c|D), the cw workload's": lambda: _kernels(EXP, 11),
@@ -117,7 +123,7 @@ OUTPUTS = {
     "last_click dead a 4 carry 0.02":
         lambda: last_click_density(DEAD, 4.0, OFFSETS, SPEC, carry=0.02),
     "last_click exp a 1": lambda: last_click_density(EXP, 1.0, OFFSETS, SPEC),
-    "last_click tabulated a 1 n_cut 4 | carry 0.02, pinned quadrature rows":
+    "last_click tabulated a 1 n_cut 4 | carry 0.02, pinned renewal rows":
         lambda: np.concatenate([
             last_click_density(TABULATED, 1.0, OFFSETS, QuadratureSpec(seed=3, gauss_order=8),
                                carry=c, n_cut=4) for c in (None, 0.02)]),
