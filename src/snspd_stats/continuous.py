@@ -359,7 +359,7 @@ def last_click_density_fock(config: DetectorConfig, m: int, tau,
     if m < 0:
         raise DomainError("photon number must be nonnegative")
     taus = _offsets(config, tau, carry)
-    carries = None if carry is None else (np.array([float(carry)]), np.array([1.0]))
+    carries = None if carry is None else ([float(carry)], [1.0])
     tables = number_tables(config, m, m, spec, [config.tau_m - float(t) for t in taus], carries)
     out = np.array([entries[:, m].sum() for entries, _ in tables])
     return out if np.ndim(tau) else float(out[0])

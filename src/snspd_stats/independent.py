@@ -25,7 +25,6 @@ used both as a fast path and as an independent check on the quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -33,11 +32,10 @@ import numpy as np
 from . import renewal
 from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
-from .parallel import map_indexed
 from .quadrature import QuadratureSpec
 from .results import ClickDistribution, ConditionalMatrix
 from .states import PhotonNumberDist, squeezed_density_from_weights
-from .weights import no_count_exposure, window_integral
+from .weights import _free_times, carry_average, no_count_exposure, window_integral
 
 DEFAULT_SPEC = QuadratureSpec()
 
@@ -59,21 +57,18 @@ def power_matrix(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
 
 
 def fock_row(config: DetectorConfig, n: int, exps: np.ndarray,
-             spec: QuadratureSpec, carry=None, last_click=None):
+             spec: QuadratureSpec, carries=None, last_click=None):
     """Integrals of density * (1-exposure)^e over the n-click support, per e.
 
-    ``carry`` and ``last_click`` are passed on to ``window_integral``.
-    Returns ``(value, error)``, each of shape (len(exps),), or
-    (len(carry), len(exps)) for a 1-D array of carries.
+    ``carries`` and ``last_click`` are passed on to ``window_integral``.
+    Returns ``(value, error)``, each of shape (len(exps),).
     """
 
     def reduce(dens, expo):
         return dens[:, None] * power_matrix(1.0 - expo, exps)
 
-    val, err = window_integral(config, n, reduce, spec, carry=carry,
-                               last_click=last_click)
-    shape = np.shape(carry) + (len(exps),)
-    return np.broadcast_to(val, shape), np.broadcast_to(err, shape)
+    val, err = window_integral(config, n, reduce, spec, carries, last_click)
+    return np.broadcast_to(val, exps.shape), np.broadcast_to(err, exps.shape)
 
 
 def resolve_n_max(config: DetectorConfig, n_max: Optional[int], m_max: int) -> int:
@@ -84,47 +79,6 @@ def resolve_n_max(config: DetectorConfig, n_max: Optional[int], m_max: int) -> i
     if not 0 <= n_max <= m_max:
         raise DomainError(f"need 0 <= n_max <= m_max, got n_max={n_max}, m_max={m_max}")
     return n_max
-
-
-def _free_times(n: int, last_click) -> int:
-    """Click times a row integrates over: n, or n - 1 with the n-th pinned."""
-    return n - 1 if last_click is not None and np.ndim(last_click) == 0 else n
-
-
-def _quadrature_row(config: DetectorConfig, n: int, exps: np.ndarray,
-                    spec: QuadratureSpec, carries, last_click):
-    """Support integrals of row n for exponents ``exps``, averaged over ``carries``.
-
-    Carries at or beyond the dead time share one support plan, so their
-    integrands are evaluated jointly on shared quadrature nodes.  Shorter
-    carries shrink the support; they are integrated per node (the plain
-    Gauss ladder in low dimension, a tilted Sobol pass otherwise, which is
-    plenty for their 1/6 share of the average).  ``window_integral``
-    picks the Sobol budget.
-
-    Returns ``(value, error)``, the error estimates weighted as the values.
-    """
-    if carries is None:
-        return fock_row(config, n, exps, spec, last_click=last_click)
-    taus, tws = carries
-    td = config.efficiency.breakpoint or 0.0
-    free = _free_times(n, last_click)
-    out, out_err = np.zeros(len(exps)), np.zeros(len(exps))
-    near = taus < td if spec.resolve_method(free) == "nested_gauss" else np.zeros(len(taus), bool)
-    for tau, wt in zip(taus[near], tws[near]):
-        # per-node rows leave nested Gauss one dimension early
-        use = spec if free <= 4 else replace(spec, method="qmc_sobol")
-        val, err = fock_row(config, n, exps, use, carry=float(tau), last_click=last_click)
-        out += wt * val
-        out_err += wt * err
-    far_t, far_w = taus[~near], tws[~near]
-    block = max(1, 64 // max(1, len(exps)))
-    for b0 in range(0, len(far_t), block):
-        val, err = fock_row(config, n, exps, spec, carry=far_t[b0:b0 + block],
-                            last_click=last_click)
-        out += far_w[b0:b0 + block] @ val
-        out_err += far_w[b0:b0 + block] @ err
-    return out, out_err
 
 
 def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
@@ -155,6 +109,7 @@ def number_tables(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratu
     (``renewal.fock_tables``); each ``(entries, meta)`` equals
     ``number_table``'s for that range alone, bit for bit.
     """
+    carries = None if carries is None else carry_average(carries)
     cap = config.max_clicks()
     top = n_max if cap is None else min(cap, n_max)
     tables = [(None, None)] * len(last_clicks)
@@ -178,7 +133,7 @@ def _number_table(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratu
     def integrate(n):
         ms = np.arange(n, m_max + 1)
         perm = np.array([math.perm(int(m), n) for m in ms], dtype=float)
-        val, row_err = _quadrature_row(config, n, ms - n, spec, carries, last_click)
+        val, row_err = fock_row(config, n, ms - n, spec, carries, last_click)
         row = np.zeros(m_max + 1)
         row[n:] = perm * val
         return row, float((perm * row_err).max())
@@ -198,9 +153,8 @@ def _pick_rows(rows, value, err, spec: QuadratureSpec, integrate, last_click):
     ``value`` and ``err`` are the renewal table and its estimate by click
     number, None when the chain did not run.  A row whose entries all pass
     ``spec.accepts`` is taken.  The others are integrated by ``integrate(n)``,
-    which gives ``(row, largest estimate)``, through ``map_indexed``; a
-    rejected renewal row is kept when its largest estimate is below the
-    integrated row's.  Returns the chosen rows and meta: their ``engines``
+    which gives ``(row, largest estimate)``; a rejected renewal row is kept
+    when its largest estimate is below the integrated row's.  Returns the chosen rows and meta: their ``engines``
     ("renewal" or the quadrature method of their free times), and
     ``renewal_err`` and ``quad_err``, the largest estimate of each kind taken.
     """
@@ -210,7 +164,7 @@ def _pick_rows(rows, value, err, spec: QuadratureSpec, integrate, last_click):
         ok = spec.accepts(value, err).reshape(len(value), -1).all(axis=1)
         worst = err.reshape(len(err), -1).max(axis=1)
         todo = [n for n in rows if not ok[n]]
-    quad = dict(zip(todo, map_indexed(integrate, todo)))
+    quad = {n: integrate(n) for n in todo}
     chosen, engines, renewal_errs, quad_errs = [], [], [], []
     for n in rows:
         if n in quad and (value is None or quad[n][1] <= worst[n]):
@@ -245,20 +199,16 @@ def coherent_rows(config: DetectorConfig, rows, a: float, spec: QuadratureSpec,
     over the carries like its estimate.  Returns one ``(values, meta)`` per
     last click, values[i] for rows[i].
     """
+    carries = None if carries is None else carry_average(carries)
     tables = [(None, None)] * len(last_clicks)
     if spec.method == "auto" and renewal.serves(config, 0, last_clicks, carries):
         tables = renewal.coherent_tables(config, max(rows), a, last_clicks, carries)
-    taus, tws = ([None], [1.0]) if carries is None else carries
 
     def pick(last_click, value, err):
         def integrate(n):
-            val = row_err = 0.0
-            for tau, wt in zip(taus, tws):
-                v, e = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
-                                       spec, carry=tau, last_click=last_click)
-                val += wt * (a**n * float(v))
-                row_err += wt * (a**n * float(e))
-            return val, row_err
+            val, row_err = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
+                                           spec, carries, last_click)
+            return a**n * float(val), a**n * float(row_err)
 
         chosen, meta = _pick_rows(rows, value, err, spec, integrate, last_click)
         return np.array(chosen, dtype=float), meta
@@ -503,6 +453,5 @@ def squeezed_distribution_direct(config: DetectorConfig, r: float,
 
         return float(window_integral(config, n, reduce, spec)[0])
 
-    vals = map_indexed(compute, list(range(1, n_max + 1)))
-    probs[1:] = vals
+    probs[1:] = [compute(n) for n in range(1, n_max + 1)]
     return probs

@@ -64,6 +64,7 @@ import numpy as np
 from .detector import DetectorConfig
 from .errors import DomainError
 from .quadrature import _gauss
+from .weights import carry_average
 
 # Highest photon number served.  FFT round-off in the zero-padded series
 # product grows like (max D / min D)^k with the series degree k.  Untilted,
@@ -328,11 +329,8 @@ def _carries_and_tails(config: DetectorConfig, last_clicks, carries):
     """
     taus, weights = [None], None
     if carries is not None:
-        taus, weights = [float(c) for c in carries[0]], np.asarray(carries[1], dtype=float)
-        if not all(math.isfinite(c) and c >= 0 for c in taus):
-            raise DomainError("carry gap must be finite and nonnegative")
-        if weights.shape != (len(taus),):
-            raise DomainError("carry weights need one weight per carry")
+        taus, weights = carry_average(carries)
+        taus = [float(c) for c in taus]
     tm = config.tau_m
     tails = [(0.0, 1.0) if lc is None else
              (tm - lc) / tm if np.ndim(lc) == 0 else (1.0 - lc[1] / tm, 1.0 - lc[0] / tm)

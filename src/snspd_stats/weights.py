@@ -245,10 +245,31 @@ def support_plan(config: DetectorConfig, n: int, carry: Optional[float] = None) 
     return SupportPlan(first, td, length, split if 0 < split < length else None)
 
 
+def _free_times(n: int, last_click) -> int:
+    """Click times a row integrates over: n, or n - 1 with the n-th pinned."""
+    return n - 1 if last_click is not None and np.ndim(last_click) == 0 else n
+
+
+def carry_average(carries) -> Tuple[np.ndarray, np.ndarray]:
+    """A carry average ``(taus, weights)`` as two checked 1-D float arrays.
+
+    Raises ``DomainError`` for a carry that is negative or not finite, a
+    weight that is not finite, or a weight count that does not match.
+    """
+    taus, weights = (np.asarray(part, dtype=float) for part in carries)
+    if taus.ndim != 1 or weights.shape != taus.shape:
+        raise DomainError("carry weights need one weight per carry")
+    if not np.all(np.isfinite(taus) & (taus >= 0)):
+        raise DomainError("carry gap must be finite and nonnegative")
+    if not np.all(np.isfinite(weights)):
+        raise DomainError("carry weights must be finite")
+    return taus, weights
+
+
 def window_integral(config: DetectorConfig, n: int,
                     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     spec: QuadratureSpec,
-                    carry: Union[None, float, Sequence[float]] = None,
+                    carries: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
                     last_click: Union[None, float, Tuple[float, float]] = None):
     """Integral of ``reduce(density, exposure)`` over the n-click support.
 
@@ -259,15 +280,20 @@ def window_integral(config: DetectorConfig, n: int,
     tuples to (P,) or (P, K) values.  The support plan, its outer split
     and the Sobol tilt are chosen here.
 
-    ``carry`` conditions the window on a click that long before its start.
-    A 1-D array of carries shares one set of nodes on the carry-free
-    support (each carry-adjusted density vanishes off its own narrower
-    support), evaluates ``reduce`` once per carry, which must then return
-    (P, K), and gives the value as a (carries, K) array.  ``last_click =
-    (lo, hi)`` restricts the time of the n-th click to [lo, hi]; a float
-    ``last_click`` pins it there and leaves the density in that time.  The
-    n-1 free times of a pinned integral use the same plan up to the pin
-    less the lower gap; for n = 1 the single tuple is evaluated.
+    ``carries = (taus, weights)`` enters the window with that weighted
+    average over clicks taus before its start (``carry_average``); value
+    and error estimate are both weighted sums.  Carries that share the
+    carry-free support are summed inside one integrand, sum of w *
+    reduce(carry_adjust(terms, c)), on one set of nodes (each
+    carry-adjusted density vanishes off its own narrower support): every
+    carry under Sobol, every carry at or past the dead time under nested
+    Gauss.  A carry inside the dead time under nested Gauss keeps its own
+    support plan; under ``auto`` its rows with five free times run Sobol.
+    ``last_click = (lo, hi)`` restricts the time of the n-th click to
+    [lo, hi]; a float ``last_click`` pins it there and leaves the density
+    in that time.  The n-1 free times of a pinned integral use the same
+    plan up to the pin less the lower gap; for n = 1 the single tuple is
+    evaluated.
 
     A carried, restricted or pinned window whose pass is Sobol runs at a
     sixteenth of ``spec.qmc_samples``, at least _REDUCED_QMC samples.
@@ -275,30 +301,23 @@ def window_integral(config: DetectorConfig, n: int,
     Returns ``(value, error)`` like ``integrate_ordered``: a scalar zero
     pair when the support is empty.
     """
-    narrowed = carry is not None or last_click is not None
-    carries = None
-    if carry is not None and np.ndim(carry):
-        carries, carry = [float(c) for c in carry], None
-    plan = support_plan(config, n, carry)
+    narrowed = carries is not None or last_click is not None
     pin = None if last_click is None or np.ndim(last_click) else float(last_click)
 
-    def f(T):
-        if pin is not None:
-            T = np.column_stack([T, np.full(len(T), pin)])
-        terms = window_terms(config, T)
-        if carries is not None:
-            return np.concatenate([reduce(*carry_adjust(config, terms, c))
-                                   for c in carries], axis=1)
-        if carry is None:
-            return reduce(terms.density, terms.exposure)
-        return reduce(*carry_adjust(config, terms, carry))
+    def integrate(spec, carry, integrand):
+        """One pass of ``integrand(terms)`` on the support plan of ``carry``."""
+        plan = support_plan(config, n, carry)
 
-    if pin is not None and n == 1:
-        if pin < plan.first_offset:
-            return 0.0, 0.0
-        val = f(np.empty((1, 0)))[0]
-        err = 0.0 * val
-    else:
+        def f(T):
+            if pin is not None:
+                T = np.column_stack([T, np.full(len(T), pin)])
+            return integrand(window_terms(config, T))
+
+        if pin is not None and n == 1:
+            if pin < plan.first_offset:
+                return 0.0, 0.0
+            val = f(np.empty((1, 0)))[0]
+            return val, 0.0 * val
         dims, length, outer_range, splits = n, config.tau_m, None, []
         if pin is not None:
             dims, length = n - 1, pin - plan.lower_gap
@@ -313,11 +332,31 @@ def window_integral(config: DetectorConfig, n: int,
         if (narrowed and spec.method != "nested_gauss"
                 and spec.resolve_method(dims) == "qmc_sobol"):
             spec = replace(spec, qmc_samples=max(_REDUCED_QMC, spec.qmc_samples // 16))
-        val, err = integrate_ordered(dims, length, f, spec,
-                                     lower_gap=plan.lower_gap,
-                                     first_offset=plan.first_offset,
-                                     outer_range=outer_range, outer_splits=splits,
-                                     gap_tilt=qmc_tilt(config, pinned=pin is not None))
-    if carries is not None and np.ndim(val):
-        return val.reshape(len(carries), -1), err.reshape(len(carries), -1)
-    return val, err
+        return integrate_ordered(dims, length, f, spec,
+                                 lower_gap=plan.lower_gap,
+                                 first_offset=plan.first_offset,
+                                 outer_range=outer_range, outer_splits=splits,
+                                 gap_tilt=qmc_tilt(config, pinned=pin is not None))
+
+    if carries is None:
+        return integrate(spec, None, lambda terms: reduce(terms.density, terms.exposure))
+
+    def carried(taus, weights):
+        return lambda terms: sum(w * reduce(*carry_adjust(config, terms, c))
+                                 for c, w in zip(taus, weights))
+
+    taus, weights = carry_average(carries)
+    free = _free_times(n, last_click)
+    near = np.zeros(len(taus), bool)
+    if spec.resolve_method(free) == "nested_gauss":
+        near = taus < (config.efficiency.breakpoint or 0.0)
+    # a pass per near carry leaves nested Gauss one dimension early under auto
+    own_spec = replace(spec, method="qmc_sobol") if spec.method == "auto" and free == 5 else spec
+    value = err = 0.0
+    for c, w in zip(taus[near], weights[near]):
+        v, e = integrate(own_spec, c, carried([c], [1.0]))
+        value, err = value + w * v, err + w * e
+    if not near.all():
+        v, e = integrate(spec, None, carried(taus[~near], weights[~near]))
+        value, err = value + v, err + e
+    return value, err

@@ -346,17 +346,20 @@ def test_first_window_has_no_memory(exp_kernels):
     assert np.max(np.abs(a - b)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 3, 6])
-@pytest.mark.parametrize("last_click", [None, (0.7, 1.0)])
-def test_fock_row_carry_block_matches_scalar_carries(n, last_click):
-    spec = QuadratureSpec(qmc_samples=4096)
-    carries = np.array([0.05, 0.12, 0.3])  # all at or beyond the dead time
+@pytest.mark.parametrize("method, n", [("nested_gauss", 1), ("nested_gauss", 3),
+                                       ("qmc_sobol", 6)])
+@pytest.mark.parametrize("last_click", [None, (0.7, 1.0), 0.8], ids=["fresh", "range", "pin"])
+def test_fock_row_carry_average_matches_one_carry_rows(method, n, last_click):
+    # two carries inside the dead time, which keep their own support under
+    # nested Gauss, and two past it, which share one integrand
+    spec = QuadratureSpec(method=method, qmc_samples=4096)
+    taus, weights = np.array([0.01, 0.04, 0.05, 0.3]), np.array([0.1, 0.2, 0.3, 0.4])
     exps = np.arange(4)
-    block, block_err = fock_row(EXP, n, exps, spec, carry=carries, last_click=last_click)
-    assert block.shape == block_err.shape == (len(carries), len(exps))
-    for row, c in zip(block, carries):
-        single, _ = fock_row(EXP, n, exps, spec, carry=float(c), last_click=last_click)
-        np.testing.assert_allclose(row, single, rtol=spec.rel_tol, atol=spec.abs_tol)
+    value, err = fock_row(EXP, n, exps, spec, (taus, weights), last_click)
+    assert value.shape == err.shape == exps.shape
+    rows = [fock_row(EXP, n, exps, spec, ([c], [1.0]), last_click) for c in taus]
+    np.testing.assert_allclose(value, weights @ [row for row, _ in rows],
+                               rtol=spec.rel_tol, atol=spec.abs_tol)
 
 
 TAB_MODE = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2),
@@ -374,13 +377,14 @@ TAB_MODE = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.
 def test_pinned_rows_integrate_to_last_click_range(config, rtol, n, carry):
     # the pinned density in the last-click time integrates to the range row
     exps = np.arange(3)
+    carries = None if carry is None else ([carry], [1.0])
     x, w = _gauss(16)
     lo, hi = 0.7, 0.9
     pinned = sum(0.5 * (hi - lo) * wk
-                 * fock_row(config, n, exps, SPEC, carry=carry,
-                            last_click=0.5 * (hi - lo) * xk + 0.5 * (hi + lo))[0]
+                 * fock_row(config, n, exps, SPEC, carries,
+                            0.5 * (hi - lo) * xk + 0.5 * (hi + lo))[0]
                  for xk, wk in zip(x, w))
-    ranged, _ = fock_row(config, n, exps, SPEC, carry=carry, last_click=(lo, hi))
+    ranged, _ = fock_row(config, n, exps, SPEC, carries, (lo, hi))
     np.testing.assert_allclose(pinned, ranged, rtol=rtol, atol=0.0)
 
 

@@ -11,7 +11,7 @@ from snspd_stats import (DetectorConfig, DomainError,
                          deadtime_closed_form, photon_number_dist,
                          regular_irregular_split, same_count_probability,
                          squeezed_distribution_direct)
-from snspd_stats import independent
+from snspd_stats import independent, weights
 
 SPEC = QuadratureSpec()
 EXP = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2))
@@ -277,13 +277,6 @@ class TestSqueezedDirectRoute:
         assert np.max(np.abs(direct - fock.probs[:4])) < 1e-6
 
 
-def test_threaded_rows_identical(monkeypatch):
-    serial = cond_prob_matrix(EXP, m_max=5, spec=SPEC)
-    monkeypatch.setenv("SNSPD_THREADS", "3")
-    threaded = cond_prob_matrix(EXP, m_max=5, spec=SPEC)
-    assert np.array_equal(serial.entries, threaded.entries)
-
-
 class TestPickRows:
     # a synthetic renewal table: row 1 passes its tolerance, row 2 misses it
     # with an estimate below the integrated row's (1e-4), row 3 above it
@@ -351,3 +344,58 @@ def test_single_coherent_row_integrates_only_that_row(monkeypatch):
     assert calls == [5]
     ref, _ = integral(config, 5, lambda dens, expo: dens * np.exp(-2.0 * expo), spec)
     assert value == 2.0**5 * ref
+
+
+# the exp curve sampled at step 0.02 with the knot 0.3 moved to 0.3003, off
+# the chain's lattice: every carried row is a quadrature row
+_KNOTS = np.linspace(0.0, 1.0, 51)
+_KNOTS[15] = 0.3003
+OFF_LATTICE = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
+    list(zip(_KNOTS, EXP.efficiency.value(_KNOTS)))))
+COARSE = QuadratureSpec(gauss_order=8)
+
+
+def test_carries_take_one_checked_form():
+    carries = ([0.0213, 0.1], [0.25, 0.75])
+    listed, meta = independent.number_table(OFF_LATTICE, 3, 4, COARSE, carries=carries)
+    assert "renewal" not in meta["engines"]
+    arrays, _ = independent.number_table(OFF_LATTICE, 3, 4, COARSE,
+                                         carries=tuple(map(np.array, carries)))
+    assert np.array_equal(listed, arrays)
+    for bad in (([math.nan], [1.0]), ([math.inf], [1.0]), ([-0.1], [1.0]),
+                ([0.1, 0.2], [1.0]), ([0.1], [math.nan])):
+        with pytest.raises(DomainError):
+            independent.number_table(OFF_LATTICE, 3, 4, COARSE, carries=bad)
+        with pytest.raises(DomainError):
+            independent.coherent_rows(OFF_LATTICE, [1, 2], 1.0, COARSE, [None], bad)
+
+
+def test_off_lattice_coherent_carry_average_matches_one_carry_rows():
+    taus, wts = [0.0213, 0.1, 0.3], [0.2, 0.3, 0.5]
+    (value, meta), = independent.coherent_rows(OFF_LATTICE, range(1, 4), 1.0, COARSE,
+                                               [None], (taus, wts))
+    assert "renewal" not in meta["engines"]
+    ref = sum(w * independent.coherent_rows(OFF_LATTICE, range(1, 4), 1.0, COARSE,
+                                            [None], ([c], [1.0]))[0][0]
+              for c, w in zip(taus, wts))
+    np.testing.assert_allclose(value, ref, rtol=COARSE.rel_tol, atol=COARSE.abs_tol)
+
+
+@pytest.mark.parametrize("method, sobol", [("nested_gauss", False), ("auto", True)])
+def test_near_carry_runs_sobol_only_under_auto(monkeypatch, method, sobol):
+    # a carry inside the dead time keeps its own support; at five free
+    # times only ``auto`` hands it to Sobol
+    spec = QuadratureSpec(method=method, gauss_order=8)
+    integrate, engines = weights.integrate_ordered, []
+
+    def spy(n, tau_m, f, spec, **kwargs):
+        engines.append(spec.resolve_method(n))
+        return integrate(n, tau_m, f, spec, **kwargs)
+
+    monkeypatch.setattr(weights, "integrate_ordered", spy)
+    independent.fock_row(EXP, 5, np.arange(3), spec, ([0.02, 0.2], [0.5, 0.5]))
+    assert ("qmc_sobol" in engines) == sobol
+    if not sobol:
+        _, meta = independent.number_table(EXP, 5, 5, spec, carries=([0.02, 0.2], [0.5, 0.5]))
+        assert set(engines) == {"nested_gauss"}
+        assert meta["engines"][1:] == ["nested_gauss"] * 5

@@ -37,12 +37,12 @@ def fock_table(config, n_max, m_max, carries=None, last_click=None):
 
 def _gauss_rows(config, n_top, m_max, spec, carry=None, last_click=None):
     """perm * fock_row, the quadrature route, for rows 1..n_top."""
+    carries = None if carry is None else ([carry], [1.0])
     out = np.zeros((n_top + 1, m_max + 1))
     for n in range(1, n_top + 1):
         ms = np.arange(n, m_max + 1)
         perm = np.array([math.perm(int(m), n) for m in ms], dtype=float)
-        out[n, n:] = perm * fock_row(config, n, ms - n, spec, carry=carry,
-                                     last_click=last_click)[0]
+        out[n, n:] = perm * fock_row(config, n, ms - n, spec, carries, last_click)[0]
     return out
 
 
@@ -446,8 +446,9 @@ def test_vacuum_density_is_exactly_zero():
 
 def _integral(config, n, a, spec, carry=None, last_click=None):
     """The quadrature route of a coherent row: a^n times window_integral."""
+    carries = None if carry is None else ([carry], [1.0])
     val, _ = window_integral(config, n, lambda dens, expo: dens * np.exp(-a * expo),
-                             spec, carry=carry, last_click=last_click)
+                             spec, carries, last_click)
     return a**n * float(val)
 
 

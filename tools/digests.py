@@ -107,6 +107,11 @@ OUTPUTS = {
     "matrix tabulated off the lattice m_max 4, quadrature rows":
         lambda: cond_prob_matrix(OFF_LATTICE, m_max=4, spec=SPEC).entries,
     "carryover exp m_max 8": lambda: carryover_matrix(EXP, CW, m_max=8, spec=SPEC).entries,
+    "carryover exp n_max 4 m_max 6 nested_gauss, near and far carries":
+        lambda: carryover_matrix(EXP, CW, n_max=4, m_max=6,
+                                 spec=replace(SPEC, method="nested_gauss")).entries,
+    "carryover tabulated off the lattice m_max 4, carried quadrature rows":
+        lambda: carryover_matrix(OFF_LATTICE, CW, m_max=4, spec=SPEC).entries,
     "kernels exp m_max 8 (a|b|c|D)": lambda: _kernels(EXP, 8),
     "kernels exp m_max 11 (a|b|c|D), the cw workload's": lambda: _kernels(EXP, 11),
     "kernels exp m_max 34 (a|b|c|D), a tilted carried chain read at two spans":
