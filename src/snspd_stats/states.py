@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import binom as _binom
-from scipy.stats import poisson as _poisson
 
 from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
@@ -202,43 +200,47 @@ def _squeezed_number_probs(r: float, eta: float, m_max: int) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
+def _poisson_pmf(m_max: int, mean: float) -> np.ndarray:
+    """Poisson pmf at 0..m_max, in log space as scipy.stats.poisson computes it."""
+    from scipy.special import gammaln, xlogy
+    k = np.arange(m_max + 1)
+    return np.exp(xlogy(k, mean) - gammaln(k + 1) - mean)
+
+
+def _binomial_pmf(top: int, n: int, eta: float) -> np.ndarray:
+    """Binomial(n, eta) pmf at 0..top, in log space."""
+    from scipy.special import gammaln, xlog1py, xlogy
+    k = np.arange(top + 1)
+    log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    return np.exp(log_comb + xlogy(k, eta) + xlog1py(n - k, -eta))
+
+
 def _poisson_convolve(probs: np.ndarray, nu: float, m_max: int) -> np.ndarray:
     if nu == 0.0:
         return probs[:m_max + 1]
-    dark = _poisson.pmf(np.arange(m_max + 1), nu)
-    return np.convolve(probs, dark)[:m_max + 1]
+    return np.convolve(probs, _poisson_pmf(m_max, nu))[:m_max + 1]
+
+
+def _cutoff(probs: np.ndarray) -> int:
+    """Smallest m whose cumulative probability is within _TAIL_BOUND of 1, else _M_CAP."""
+    ok = np.nonzero(1.0 - np.cumsum(probs) < _TAIL_BOUND)[0]
+    return int(ok[0]) if len(ok) else _M_CAP
 
 
 def _default_m_max(state: StateSpec, eta: float, nu: float) -> int:
     if state.kind == "fock" and nu == 0.0:
         return state.k
     if state.kind == "coherent":
-        mean = eta * state.alpha0**2 + nu
-        cdf = 0.0
-        for m in range(_M_CAP + 1):
-            cdf += _poisson.pmf(m, mean)
-            if 1.0 - cdf < _TAIL_BOUND:
-                return m
-        return _M_CAP
+        return _cutoff(_poisson_pmf(_M_CAP, eta * state.alpha0**2 + nu))
     if state.kind == "squeezed_vacuum":
         probs = _squeezed_number_probs(state.r, eta, _M_CAP)
-        probs = _poisson_convolve(probs, nu, _M_CAP)
-        csum = np.cumsum(probs)
-        ok = np.nonzero(1.0 - csum < _TAIL_BOUND)[0]
-        m = int(ok[0]) if len(ok) else _M_CAP
+        m = _cutoff(_poisson_convolve(probs, nu, _M_CAP))
         return min(_M_CAP, m + (m % 2))  # prefer an even cutoff
     # fock with dark counts, custom
     base = state.k if state.kind == "fock" else len(state.probs) - 1
     if nu == 0.0:
         return base
-    extra = 0
-    cdf = 0.0
-    for m in range(_M_CAP + 1):
-        cdf += _poisson.pmf(m, nu)
-        if 1.0 - cdf < _TAIL_BOUND:
-            extra = m
-            break
-    return min(_M_CAP, base + extra)
+    return min(_M_CAP, base + _cutoff(_poisson_pmf(_M_CAP, nu)))
 
 
 def photon_number_dist(state: StateSpec, eta: Optional[float] = None,
@@ -251,16 +253,15 @@ def photon_number_dist(state: StateSpec, eta: Optional[float] = None,
     nu = 0.0 if nu is None else float(nu)
     if not 0.0 <= eta <= 1.0:
         raise DomainError("eta must be in [0, 1]")
-    if nu < 0:
-        raise DomainError("nu must be nonnegative")
+    if not 0.0 <= nu < math.inf:
+        raise DomainError(f"nu must be finite and nonnegative, got {nu}")
     if m_max is None:
         m_max = _default_m_max(state, eta, nu)
-    m = np.arange(m_max + 1)
 
     if state.kind == "coherent":
-        probs = _poisson.pmf(m, eta * state.alpha0**2 + nu)
+        probs = _poisson_pmf(m_max, eta * state.alpha0**2 + nu)
     elif state.kind == "fock":
-        base = _binom.pmf(np.arange(min(state.k, m_max) + 1), state.k, eta)
+        base = _binomial_pmf(min(state.k, m_max), state.k, eta)
         probs = _poisson_convolve(base, nu, m_max)
     elif state.kind == "squeezed_vacuum":
         probs = _poisson_convolve(_squeezed_number_probs(state.r, eta, m_max), nu, m_max)
@@ -272,7 +273,7 @@ def photon_number_dist(state: StateSpec, eta: Optional[float] = None,
                 if pk == 0.0:
                     continue
                 top = min(k, m_max)
-                thin[:top + 1] += pk * _binom.pmf(np.arange(top + 1), k, eta)
+                thin[:top + 1] += pk * _binomial_pmf(top, k, eta)
             base = thin
         probs = _poisson_convolve(base, nu, m_max)
 

@@ -1,5 +1,7 @@
 """Every module-level import of the package and its tests is used, and
 every module-level function and class of the package is used by the package.
+Importing the package and computing a photon-number distribution leaves
+``scipy.stats`` unloaded.
 
 Standard library only: each file is parsed with ``ast``.  A name a
 top-level import binds must be read somewhere in the same module.  A
@@ -9,6 +11,9 @@ string in ``__all__``; code only the tests call does not belong there.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +64,14 @@ def test_every_package_definition_is_used_by_the_package():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and node.name not in used]
     assert unused == [], "defined but not used in the package:\n" + "\n".join(unused)
+
+
+def test_import_path_leaves_scipy_stats_unloaded():
+    code = ("import sys\n"
+            "import snspd_stats, snspd_stats.cli\n"
+            "from snspd_stats import StateSpec, photon_number_dist\n"
+            "photon_number_dist(StateSpec.fock(3), eta=0.5, nu=0.1)\n"
+            "print('scipy.stats' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "False"

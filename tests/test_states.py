@@ -42,13 +42,44 @@ class TestFock:
         d = photon_number_dist(StateSpec.fock(2), eta=0.7, nu=0.4, m_max=40)
         assert d.mean() == pytest.approx(0.7 * 2 + 0.4, abs=1e-6)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    def test_binomial_matches_scipy(self, eta):
+        d = photon_number_dist(StateSpec.fock(12), eta=eta, nu=0.0)
+        np.testing.assert_allclose(d.probs, binom.pmf(np.arange(13), 12, eta),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_dark_convolution_is_poisson_exactly(self):
+        # a point mass convolved with the dark pmf is the shifted dark pmf
+        for k in (0, 2):
+            d = photon_number_dist(StateSpec.fock(k), eta=1.0, nu=0.3, m_max=30)
+            assert np.array_equal(d.probs[k:], poisson.pmf(np.arange(31 - k), 0.3))
+            assert np.all(d.probs[:k] == 0.0)
+
+    def test_large_dark_rate_reaches_the_cap(self):
+        d = photon_number_dist(StateSpec.fock(2), eta=0.5, nu=40.0)
+        assert d.m_max == 64 and d.tail > 0
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -0.1])
+    def test_bad_dark_rate_is_rejected(self, nu):
+        with pytest.raises(DomainError, match="nu must be finite and nonnegative"):
+            photon_number_dist(StateSpec.fock(2), eta=0.5, nu=nu)
+        spec = StateSpec(kind="fock", k=2, nu=nu)
+        with pytest.raises(DomainError, match="nu must be finite and nonnegative"):
+            photon_number_dist(spec, eta=0.5)
+
 
 class TestCoherent:
     def test_poisson_termwise(self):
         d = photon_number_dist(StateSpec.coherent(2.0), eta=0.9, nu=0.05, m_max=30)
         mean = 0.9 * 4.0 + 0.05
         ref = poisson.pmf(np.arange(31), mean)
-        assert np.max(np.abs(d.probs - ref)) < 1e-12
+        assert np.array_equal(d.probs, ref)
+
+    @pytest.mark.parametrize("alpha0, eta, nu", [
+        (0.0, 1.0, 0.0), (0.0, 0.5, 0.3), (5.0, 0.8, 0.1), (1e-7, 1.0, 0.0), (7.0, 1.0, 2.0)])
+    def test_poisson_matches_scipy_exactly(self, alpha0, eta, nu):
+        d = photon_number_dist(StateSpec.coherent(alpha0), eta=eta, nu=nu, m_max=64)
+        assert np.array_equal(d.probs, poisson.pmf(np.arange(65), eta * alpha0**2 + nu))
 
     def test_default_m_max_tail(self):
         d = photon_number_dist(StateSpec.coherent(2.0), eta=1.0, nu=0.0)
@@ -101,6 +132,15 @@ class TestCustom:
     def test_loss_thinning(self):
         d = photon_number_dist(StateSpec.custom([0.0, 0.0, 1.0]), eta=0.5, nu=0.0)
         assert d.probs == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
+
+    def test_loss_thinning_of_many_photons_matches_scipy(self):
+        probs = np.zeros(201)
+        probs[180:] = np.linspace(1.0, 2.0, 21)
+        probs /= probs.sum()
+        d = photon_number_dist(StateSpec.custom(probs), eta=0.7, nu=0.0)
+        ref = sum(p * binom.pmf(np.arange(201), k, 0.7) for k, p in enumerate(probs) if p)
+        assert d.m_max == 200
+        np.testing.assert_allclose(d.probs, ref, rtol=1e-12, atol=0.0)
 
 
 class TestStateSpecParsing:

@@ -92,12 +92,21 @@ def _fock_density(spec, ms):
                            for c, carry in ((EXP, None), (DEAD, 0.02)) for m in ms])
 
 
+def _photon_number_dists():
+    cases = [(StateSpec.coherent(2.0), 0.9, 0.05), (StateSpec.fock(4), 0.8, 0.1),
+             (StateSpec.squeezed(1.0), 1.0, 0.1),
+             (StateSpec.custom([0.1, 0.2, 0.3, 0.4]), 0.7, 0.0)]
+    return np.concatenate([photon_number_dist(s, eta=eta, nu=nu).probs for s, eta, nu in cases])
+
+
 def _split():
     return [part for c in (EXP, DEAD) for n in (1, 2, 3) for m in range(n, 7)
             for part in regular_irregular_split(c, n, m, SPEC)]
 
 
 OUTPUTS = {
+    "photon_number_dist coherent 2 eta 0.9 nu 0.05 | fock 4 eta 0.8 nu 0.1 | squeezed r 1 nu 0.1 "
+    "| custom eta 0.7": _photon_number_dists,
     "matrix exp m_max 20": lambda: cond_prob_matrix(EXP, m_max=20, spec=SPEC).entries,
     "matrix exp m_max 40": lambda: cond_prob_matrix(EXP, m_max=40, spec=SPEC).entries,
     "matrix dead m_max 12": lambda: cond_prob_matrix(DEAD, m_max=12, spec=SPEC).entries,
