@@ -1,12 +1,11 @@
 """Stochastic oracle: direct simulation of arrivals, thinning and clicks.
 
-The simulator draws photon arrivals for one window, merges them with a
-uniform dark background, sorts, and walks the arrivals in time order: an
-arrival at time t becomes a click with probability xi(t - t_last_click).
+An arrival at time t becomes a click with probability xi(t - t_last_click).
 Only the last click matters for the recovery state, matching the chained
 density factor of the analytic model.  Windows either start fresh (fully
-recovered detector), with a fixed time since the last click, or contiguous
-with the carry threaded from the previous window of the same trial.
+recovered detector), with a fixed time since the last click, or contiguous:
+the windows of one trial lie end to end on one clock, so the recovery
+state runs on across their edges.
 
 Per state kind the arrivals are drawn as
 
@@ -20,8 +19,19 @@ plus Poisson(nu) dark arrivals uniform over the window.  The squeezed
 weights are computed from the state expansion directly, keeping the oracle
 independent of the analytic distribution code.
 
-Everything is vectorized over trials with a counter-based generator
-(Philox) and a fixed draw order, so a seed fully determines the result.
+The simulator walks arrival streams.  A stream is one row: a single window
+that starts at its carry (fresh and fixed-tau modes), or a chunk of
+back-to-back windows of one trial (contiguous mode) that starts where the
+trial's previous chunk ended.  A chunk's arrivals are drawn at once, merged
+with the dark background, sorted along each row, and walked column by
+column: column j holds the j-th arrival of every row that has more than j,
+busiest rows first, so a step touches only the rows still running.  The
+walk keeps, for every arrival, the last click time and the count of missed
+arrivals so far; each window's clicks and last-click offset are read there
+at the window's last arrival.
+
+Everything is vectorized over rows with a counter-based generator (Philox)
+and a fixed draw order, so a seed fully determines the result.
 """
 
 from __future__ import annotations
@@ -37,7 +47,11 @@ from .errors import DomainError, EstimationError
 from .quadrature import OrderedTimes
 from .states import StateSpec
 
-_BLOCK = 1 << 18  # trials simulated per vectorized block
+# Windows per chunk at most.  A block holds up to _BLOCK trials; its chunks
+# hold one window of each trial, or in contiguous mode _BLOCK // (trials in
+# the block) consecutive windows of each, so that a chunk carries no more
+# arrivals than a block of fresh windows.
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -54,6 +68,10 @@ class SimSpec:
     collect_offsets: bool = False
 
     def __post_init__(self):
+        for name in ("trials", "windows_per_trial", "warm_up"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if self.carry_in not in ("fresh", "fixed_tau", "contiguous"):
@@ -62,6 +80,8 @@ class SimSpec:
             raise DomainError("fixed_tau must be nonnegative")
         if self.windows_per_trial < 1:
             raise DomainError("windows_per_trial must be at least 1")
+        if self.warm_up < 0:
+            raise DomainError("warm_up must be nonnegative")
         if self.carry_in == "contiguous" and self.windows_per_trial <= self.warm_up:
             raise DomainError("contiguous runs need windows_per_trial > warm_up")
 
@@ -143,52 +163,119 @@ def _photon_counts(state: StateSpec, config: DetectorConfig, rng, size: int) -> 
     return rng.binomial(m, eta)
 
 
-def _scatter_times(times: np.ndarray, counts: np.ndarray, draws: np.ndarray,
-                   col_base: np.ndarray) -> None:
-    if draws.size == 0:
-        return
-    rows = np.repeat(np.arange(len(counts)), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    cols = np.arange(len(draws)) - np.repeat(starts, counts) + np.repeat(col_base, counts)
-    times[rows, cols] = draws
+def _arrivals(state: StateSpec, config: DetectorConfig, rng, rows: int, windows: int):
+    """Arrival times of a chunk, sorted per row, and the arrivals per (row, window).
+
+    A row's windows follow one another on a clock that starts with the
+    chunk; rows are padded with inf to the busiest row's count.
+    """
+    size = rows * windows
+    n_sig = _photon_counts(state, config, rng, size)
+    n_dark = rng.poisson(config.nu, size) if config.nu > 0 else np.zeros(size, dtype=int)
+    sig = config.mode.sample_times(int(n_sig.sum()), config.tau_m, rng)
+    dark = rng.uniform(0.0, config.tau_m, int(n_dark.sum()))
+    if windows > 1:  # move each arrival into its window
+        opens = np.tile(np.arange(windows) * config.tau_m, rows)
+        sig += np.repeat(opens, n_sig)
+        dark += np.repeat(opens, n_dark)
+    counts = (n_sig + n_dark).reshape(rows, windows)
+    per_row = counts.sum(axis=1)[:, None]
+    sig_row = n_sig.reshape(rows, windows).sum(axis=1)[:, None]
+    cols = np.arange(int(per_row.max()))
+    times = np.full((rows, len(cols)), np.inf)
+    times[cols < sig_row] = sig  # each row's signal arrivals, then its dark ones
+    if dark.size:
+        times[(cols >= sig_row) & (cols < per_row)] = dark
+    times.sort(axis=1)
+    return times, counts
 
 
-def _run_window(config: DetectorConfig, state: StateSpec, rng,
-                carry_gap: np.ndarray, collect_gaps: bool):
-    """One window for a block of trials; returns clicks, new carry, gap samples."""
-    B = len(carry_gap)
-    n_sig = _photon_counts(state, config, rng, B)
-    n_dark = rng.poisson(config.nu, B) if config.nu > 0 else np.zeros(B, dtype=int)
-    k_tot = n_sig + n_dark
-    K = int(k_tot.max()) if B else 0
-    gaps_out = []
-    clicks = np.zeros(B, dtype=np.int64)
-    t_last = -carry_gap  # clock zero at window start
-    if K > 0:
-        times = np.full((B, K), np.inf)
-        _scatter_times(times, n_sig,
-                       config.mode.sample_times(int(n_sig.sum()), config.tau_m, rng),
-                       np.zeros(B, dtype=int))
-        _scatter_times(times, n_dark,
-                       rng.uniform(0.0, config.tau_m, int(n_dark.sum())), n_sig)
-        times.sort(axis=1)
-        U = rng.uniform(size=(B, K))
-        prof = config.efficiency
-        with np.errstate(invalid="ignore"):
-            for j in range(K):
-                t = times[:, j]
-                valid = np.isfinite(t)
-                gap = t - t_last
-                p = np.asarray(prof.value(np.where(valid, gap, 0.0)))
-                acc = valid & (U[:, j] < p)
-                if collect_gaps and acc.any():
-                    fin = acc & np.isfinite(gap)
-                    if fin.any():
-                        gaps_out.append(gap[fin])
-                t_last = np.where(acc, t, t_last)
-                clicks += acc
-    new_carry = config.tau_m - t_last
-    return clicks, new_carry, gaps_out
+class _Streams:
+    """The arrival streams of a chunk, laid out column by column for the walk.
+
+    Rows go busiest first, so column j, the j-th arrival of every row that
+    has more than j, holds a prefix of the rows of column j - 1.  Laid-out
+    arrays hold one block per column after a leading block of one entry
+    per row, the state before the first arrival.
+    """
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts  # arrivals per (row, window), rows in trial order
+        per_row = counts.sum(axis=1)
+        rows = len(per_row)
+        self.width = int(per_row.max())
+        # stable on the narrowest key: numpy radix-sorts keys of 16 bits or less
+        busy = (self.width - per_row).astype(np.min_scalar_type(self.width))
+        self.order = np.argsort(busy, kind="stable")  # walk row -> trial
+        self.rank = np.empty(rows, dtype=np.int64)  # trial -> walk row
+        self.rank[self.order] = np.arange(rows)
+        # column j's size: the rows with more than j arrivals
+        sizes = rows - np.cumsum(np.bincount(per_row, minlength=self.width))[:self.width]
+        ends = rows + np.cumsum(sizes)
+        self.starts = np.concatenate([[0], ends - sizes])  # block 0, then column j at j + 1
+        self.columns = list(zip(self.starts[1:].tolist(), ends.tolist()))
+        base = self.order * self.width
+        self._source = np.empty(int(sizes.sum()), dtype=np.int64)  # into (rows, width)
+        for j, (b, e) in enumerate(self.columns):
+            np.add(base[:e - b], j, out=self._source[b - rows:e - rows])
+
+    def lay_out(self, padded: np.ndarray, head: Optional[np.ndarray] = None) -> np.ndarray:
+        """Lay out a (rows, width) array; ``head`` (per trial) fills block 0."""
+        rows = len(self.order)
+        out = np.empty(rows + len(self._source))
+        if head is not None:
+            out[:rows] = head[self.order]
+        np.take(padded.ravel(), self._source, out=out[rows:])
+        return out
+
+    def walk(self, prof, tau_m: float, times: np.ndarray, uniforms: np.ndarray,
+             keep_from: int, gaps: Optional[list]):
+        """Walk the streams in time order; clicks and offsets per (trial, window).
+
+        ``times`` is laid out with minus the carry in block 0 and is left
+        holding the last click time by each arrival (block 0: before any).
+        An arrival clicks when its uniform is below xi of the time since
+        the row's last click.  The offset is the time from a window's last
+        click to the window's end.  ``gaps`` collects the time since the
+        previous click of every click with one, in the windows from
+        ``keep_from`` on, by arrival rank and then trial.
+        """
+        rows, windows = self.counts.shape
+        misses = np.empty(len(times), dtype=np.int32)  # arrivals without a click so far
+        misses[:rows] = 0
+        if gaps is not None:
+            per_row = self.counts.sum(axis=1)
+            first = self.counts[:, :keep_from].sum(axis=1)
+        last, missed = times[:rows], misses[:rows]
+        for j, (b, e) in enumerate(self.columns):
+            t, m = times[b:e], misses[b:e]
+            prev = last[:e - b]
+            gap = t - prev
+            rejected = uniforms[b:e] >= prof.value(gap)
+            if gaps is not None:
+                pick = self.rank[(first <= j) & (j < per_row)]
+                g = gap[pick]
+                gaps.append(g[~rejected[pick] & np.isfinite(g)])
+            np.copyto(t, prev, where=rejected)
+            np.add(missed[:e - b], rejected, out=m)
+            last, missed = t, m
+        # the running state at each window's last arrival
+        through = np.cumsum(self.counts[self.order], axis=1)
+        at = self.starts[through] + np.arange(rows)[:, None]
+        clicks = np.diff(through - misses[at], axis=1, prepend=0)
+        offsets = tau_m * np.arange(1, windows + 1) - times[at]
+        return clicks[self.rank], offsets[self.rank]
+
+
+def _simulate_chunk(state: StateSpec, config: DetectorConfig, rng, carry: np.ndarray,
+                    windows: int, keep_from: int, gaps: Optional[list]):
+    """Clicks and last-click offsets per (trial, window) of one chunk."""
+    times, counts = _arrivals(state, config, rng, len(carry), windows)
+    streams = _Streams(counts)
+    laid = streams.lay_out(times, -carry)
+    del times  # one padded array at a time: the uniforms' comes next
+    uniforms = streams.lay_out(rng.uniform(size=(len(carry), streams.width)))
+    return streams.walk(config.efficiency, config.tau_m, laid, uniforms, keep_from, gaps)
 
 
 def sample_window(state: StateSpec, config: DetectorConfig,
@@ -240,29 +327,21 @@ def empirical_distribution(state: StateSpec, config: DetectorConfig,
         hist += np.bincount(clicks, minlength=len(hist))
         n_windows += len(clicks)
 
+    contiguous = sim.carry_in == "contiguous"
     for start in range(0, sim.trials, _BLOCK):
         B = min(_BLOCK, sim.trials - start)
-        if sim.carry_in == "fresh":
-            carry = np.full(B, np.inf)
-        elif sim.carry_in == "fixed_tau":
-            carry = np.full(B, sim.fixed_tau)
-        else:
-            carry = np.full(B, np.inf)  # the first window has no history
-        for w in range(sim.windows_per_trial):
-            clicks, carry_next, gaps = _run_window(config, state, rng, carry,
-                                                   sim.collect_gaps)
-            keep = sim.carry_in != "contiguous" or w >= sim.warm_up
-            if keep:
-                accumulate(clicks)
-                gaps_all.extend(gaps)
-                if sim.collect_offsets:
-                    offsets_all.append(carry_next.copy())
-            if sim.carry_in == "contiguous":
-                carry = carry_next
-            elif sim.carry_in == "fixed_tau":
-                carry = np.full(B, sim.fixed_tau)
-            else:
-                carry = np.full(B, np.inf)
+        span = max(1, _BLOCK // B) if contiguous else 1  # windows per chunk
+        carry = np.full(B, sim.fixed_tau if sim.carry_in == "fixed_tau" else np.inf)
+        for w0 in range(0, sim.windows_per_trial, span):
+            windows = min(span, sim.windows_per_trial - w0)
+            skip = min(windows, max(0, sim.warm_up - w0)) if contiguous else 0
+            clicks, offsets = _simulate_chunk(state, config, rng, carry, windows, skip,
+                                              gaps_all if sim.collect_gaps else None)
+            if contiguous:
+                carry = offsets[:, -1]
+            accumulate(clicks[:, skip:].ravel())
+            if sim.collect_offsets and skip < windows:
+                offsets_all.append(offsets[:, skip:].T.ravel())
 
     return SimResult(
         counts=hist, n_windows=n_windows,

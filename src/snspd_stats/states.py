@@ -54,8 +54,8 @@ class StateSpec:
     def __post_init__(self):
         if self.kind not in ("coherent", "fock", "squeezed_vacuum", "custom"):
             raise DomainError(f"unknown state kind {self.kind!r}")
-        if self.kind == "coherent" and not math.isfinite(self.alpha0):
-            raise DomainError("coherent amplitude must be finite")
+        if self.kind == "coherent" and not math.isfinite(self.alpha0 * self.alpha0):
+            raise DomainError("coherent amplitude must be finite, with a finite mean number")
         if self.kind == "fock" and self.k < 0:
             raise DomainError("Fock number must be nonnegative")
         if self.kind == "squeezed_vacuum" and not (math.isfinite(self.r) and self.r >= 0):
@@ -257,6 +257,8 @@ def photon_number_dist(state: StateSpec, eta: Optional[float] = None,
         raise DomainError(f"nu must be finite and nonnegative, got {nu}")
     if m_max is None:
         m_max = _default_m_max(state, eta, nu)
+    elif not isinstance(m_max, (int, np.integer)) or isinstance(m_max, bool) or m_max < 0:
+        raise DomainError(f"m_max must be a nonnegative integer, got {m_max!r}")
 
     if state.kind == "coherent":
         probs = _poisson_pmf(m_max, eta * state.alpha0**2 + nu)

@@ -9,6 +9,7 @@ from snspd_stats import (DetectorConfig, DomainError, EfficiencyProfile,
                          coherent_click_probability_after_gap,
                          deadtime_closed_form, empirical_distribution,
                          sample_window, simulate_interpulse_gaps)
+from snspd_stats import montecarlo
 
 EXP = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2))
 DT = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.dead_time(0.05))
@@ -145,6 +146,119 @@ def test_sim_spec_validation():
         SimSpec(trials=10, carry_in="fixed_tau", fixed_tau=math.nan)
     with pytest.raises(DomainError):
         SimSpec(trials=10, carry_in="contiguous", windows_per_trial=3, warm_up=4)
+
+
+@pytest.mark.parametrize("field", ["trials", "windows_per_trial", "warm_up"])
+@pytest.mark.parametrize("value", [2.5, 6.0, True, "6", None])
+def test_sim_spec_counts_must_be_integers(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        SimSpec(**{"trials": 10, "carry_in": "contiguous", "windows_per_trial": 8,
+                   field: value})
+
+
+def test_sim_spec_rejects_negative_warm_up():
+    with pytest.raises(DomainError, match="warm_up must be nonnegative"):
+        SimSpec(trials=10, carry_in="contiguous", windows_per_trial=8, warm_up=-1)
+
+
+def test_sim_spec_takes_numpy_integers():
+    sim = SimSpec(trials=np.int64(10), carry_in="contiguous", windows_per_trial=np.int32(6),
+                  warm_up=np.int64(0))
+    res = empirical_distribution(StateSpec.coherent(1.0), EXP, sim)
+    assert res.n_windows == 60
+
+
+def _scalar_walk(prof, tau_m, times, uniforms, counts, carry, keep_from):
+    """Reference for the stream walk: one arrival at a time, in plain Python."""
+    rows, windows = counts.shape
+    clicks = np.zeros((rows, windows), dtype=np.int64)
+    offsets = np.empty((rows, windows))
+    gaps = []
+    for r in range(rows):
+        t_last, i = -carry[r], 0
+        for w in range(windows):
+            for _ in range(counts[r, w]):
+                gap = times[r, i] - t_last
+                if uniforms[r, i] < prof.value(np.array([gap]))[0]:
+                    if w >= keep_from and math.isfinite(gap):
+                        gaps.append((i, r, gap))
+                    clicks[r, w] += 1
+                    t_last = times[r, i]
+                i += 1
+            offsets[r, w] = (w + 1) * tau_m - t_last
+    return clicks, offsets, [g for _, _, g in sorted(gaps)]
+
+
+def _streams_of(rows, windows, tau_m=1.0):
+    """Padded sorted arrival times and counts from per-row (window, local time) lists."""
+    counts = np.zeros((len(rows), windows), dtype=np.int64)
+    width = max([len(r) for r in rows] + [0])
+    times = np.full((len(rows), width), np.inf)
+    for i, arrivals in enumerate(rows):
+        for w, _ in arrivals:
+            counts[i, w] += 1
+        times[i, :len(arrivals)] = sorted(w * tau_m + t for w, t in arrivals)
+    return times, counts
+
+
+@pytest.mark.parametrize("windows, keep_from", [(1, 0), (3, 0), (3, 1)])
+def test_walk_matches_scalar_loop(windows, keep_from):
+    rng = np.random.Generator(np.random.Philox(61))
+    rows = [
+        [],                                                # no arrivals at all
+        [(0, 0.01)],                                       # inside the carried dead time
+        [(0, 0.97), (min(1, windows - 1), 0.01), (windows - 1, 0.5)],  # over a window edge
+        [(0, 0.2), (windows - 1, 0.9)],                    # windows between them have no arrivals
+    ]
+    rows += [[(int(w), float(t)) for w, t in zip(rng.integers(0, windows, k),
+                                                 rng.uniform(0.0, 1.0, k))]
+             for k in rng.poisson(4.0 * windows, 40)]
+    times, counts = _streams_of(rows, windows)
+    uniforms = rng.uniform(size=times.shape)
+    uniforms[1, 0] = uniforms[2, :2] = 0.0  # would click anywhere outside the dead time
+    carry = np.where(rng.uniform(size=len(rows)) < 0.5, np.inf,
+                     rng.uniform(0.0, 0.3, len(rows)))
+    carry[:3] = [np.inf, 0.02, 0.1]
+    for prof in (EXP.efficiency, DT.efficiency):
+        streams = montecarlo._Streams(counts)
+        gaps = []
+        clicks, offsets = streams.walk(prof, 1.0, streams.lay_out(times, -carry),
+                                       streams.lay_out(uniforms), keep_from, gaps)
+        ref_clicks, ref_offsets, ref_gaps = _scalar_walk(prof, 1.0, times, uniforms, counts,
+                                                         carry, keep_from)
+        assert np.array_equal(clicks, ref_clicks)
+        assert np.array_equal(offsets, ref_offsets)
+        assert np.array_equal(np.concatenate(gaps), ref_gaps)
+        assert clicks[1].sum() == 0  # u = 0, but 0.03 since the last click is < tau_d
+        assert np.array_equal(offsets[1], np.arange(1, windows + 1) + 0.02)
+        assert clicks[0].sum() == 0 and np.all(np.isinf(offsets[0]))
+        if windows > 1:  # 0.04 from the click at 0.97 to the next window's first arrival
+            assert clicks[2, 0] == 1 and clicks[2, 1] == 0
+
+
+def test_contiguous_chunks_match_chained_windows(monkeypatch):
+    # Blocks of 3000 trials walk one window per chunk, the last block of 1000
+    # three, so chunk edges cut every trial's windows, warm-up included.
+    monkeypatch.setattr(montecarlo, "_BLOCK", 3000)
+    state = StateSpec.coherent(2.0)
+    sim = SimSpec(trials=4000, seed=43, carry_in="contiguous", windows_per_trial=11, warm_up=4)
+    res = empirical_distribution(state, EXP, sim)
+    assert res.n_windows == 4000 * 7
+    # the independent reference: one long trial, chained through sample_window
+    rng = np.random.Generator(np.random.Philox(44))
+    carry, ref = None, []
+    for w in range(28_004):
+        clicks, offset = sample_window(state, EXP, carry_tau=carry, rng=rng)
+        carry = offset if offset is not None else (None if carry is None else carry + 1.0)
+        if w >= 4:
+            ref.append(len(clicks.as_array()))
+    top = max(len(res.counts), max(ref) + 1)
+    ref = np.bincount(ref, minlength=top) / len(ref)
+    sim_p = np.zeros(top)
+    sim_p[:len(res.counts)] = res.probs
+    for n, (p, q) in enumerate(zip(sim_p, ref)):
+        se = math.sqrt((p * (1 - p) + q * (1 - q)) / res.n_windows)
+        assert abs(p - q) < 4 * max(se, 1e-4), (n, p, q)
 
 
 class TestInterpulseGaps:

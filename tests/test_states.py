@@ -85,6 +85,32 @@ class TestCoherent:
         d = photon_number_dist(StateSpec.coherent(2.0), eta=1.0, nu=0.0)
         assert d.tail < 1e-8
 
+    @pytest.mark.parametrize("alpha0", [1e200, -1e160, math.inf, math.nan])
+    def test_amplitude_without_a_finite_mean_is_rejected(self, alpha0):
+        # |alpha0|^2 overflows a float: the mean photon number is not finite
+        with pytest.raises(DomainError, match="coherent amplitude"):
+            StateSpec.coherent(alpha0)
+        with pytest.raises(DomainError, match="coherent amplitude"):
+            StateSpec.from_json_dict({"kind": "coherent", "alpha0": alpha0})
+
+    def test_largest_amplitudes_still_build(self):
+        assert StateSpec.coherent(1e150).alpha0 == 1e150
+
+
+@pytest.mark.parametrize("state", [StateSpec.coherent(1.0), StateSpec.fock(3),
+                                   StateSpec.squeezed(0.5), StateSpec.custom([0.5, 0.5])])
+@pytest.mark.parametrize("m_max", [2.5, 3.0, -1, True, "4", np.float64(4.0)])
+def test_explicit_m_max_must_be_a_nonnegative_integer(state, m_max):
+    with pytest.raises(DomainError, match="m_max must be a nonnegative integer"):
+        photon_number_dist(state, eta=0.9, nu=0.1, m_max=m_max)
+
+
+@pytest.mark.parametrize("m_max", [0, 3, np.int64(3)])
+def test_explicit_m_max_sets_the_length(m_max):
+    d = photon_number_dist(StateSpec.coherent(1.0), eta=1.0, nu=0.0, m_max=m_max)
+    assert d.m_max == m_max and len(d.probs) == m_max + 1
+    assert d.tail == pytest.approx(1.0 - d.probs.sum())
+
 
 class TestSqueezed:
     def test_vacuum_weight(self):

@@ -5,7 +5,9 @@ A digest is the first 16 hex digits of the sha256 of the comma-joined
 ``results._payload_digest``; text outputs hash their bytes.  Every output
 uses ``QuadratureSpec(seed=3)``, tau_m = 1, exp = (tau_d 0.05, tau_r 0.2),
 dead = tau_d 0.05, fast = exp with tau_r 5e-6 and, for the memory model,
-``CwConfig(delta=0.3)``.
+``CwConfig(delta=0.3)``.  A simulator row hashes the click counts, the
+window count and, where the run collects them, the last-click offsets or
+the inter-click gaps, in the order the run returns them.
 
 Run it on two checkouts and compare the lines (timings go to stderr): a
 digest moves only where a change means to move it.
@@ -32,10 +34,11 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile,  # noqa: E402
-                         QuadratureSpec, StateSpec, carryover_matrix,
+                         QuadratureSpec, SimSpec, StateSpec, carryover_matrix,
                          click_distribution_independent, coherent_click_probability,
                          coherent_click_probability_after_gap, cond_prob_matrix,
-                         last_click_density, photon_number_dist, regular_irregular_split)
+                         empirical_distribution, last_click_density, photon_number_dist,
+                         regular_irregular_split)
 from snspd_stats.cli import figure_payload  # noqa: E402
 from snspd_stats.continuous import last_click_density_fock, memory_kernels  # noqa: E402
 from snspd_stats.results import _payload_digest  # noqa: E402
@@ -55,6 +58,7 @@ _STEPS[15] = 0.3003  # one knot off the 1/500 lattice: the chain does not serve 
 OFF_LATTICE = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
     list(zip(_STEPS, EXP.efficiency.value(_STEPS)))))
 FAST = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 5e-6))
+DEAD02 = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.dead_time(0.2))
 OFFSETS = np.array([0.01, 0.03, 0.1, 0.27, 0.6])
 CARRIES = (0.0, 0.02, 0.05, 0.1, 0.3, 5.0)
 
@@ -97,6 +101,13 @@ def _photon_number_dists():
              (StateSpec.squeezed(1.0), 1.0, 0.1),
              (StateSpec.custom([0.1, 0.2, 0.3, 0.4]), 0.7, 0.0)]
     return np.concatenate([photon_number_dist(s, eta=eta, nu=nu).probs for s, eta, nu in cases])
+
+
+def _simulated(state, config, sim):
+    res = empirical_distribution(state, config, sim)
+    parts = [res.counts, [res.n_windows]]
+    parts += [x for x in (res.last_offsets, res.interpulse_gaps) if x is not None]
+    return np.concatenate(parts)
 
 
 def _split():
@@ -149,6 +160,20 @@ OUTPUTS = {
         lambda: _fock_density(replace(SPEC, method="nested_gauss"), (1, 3, 5)),
     "split exp/dead n 1-3 m n-6 (regular, irregular)": _split,
     "figure_payload(4)": lambda: figure_payload(4, SPEC)["digest"],
+    "simulate fresh fock 3 dead 0.2, 2^16 trials (counts|offsets)":
+        lambda: _simulated(StateSpec.fock(3), DEAD02,
+                           SimSpec(trials=1 << 16, seed=5, collect_offsets=True)),
+    "simulate fresh coherent 2 exp, 2^16 trials (counts|gaps)":
+        lambda: _simulated(StateSpec.coherent(2.0), EXP,
+                           SimSpec(trials=1 << 16, seed=6, collect_gaps=True)),
+    "simulate fixed_tau 0.1 coherent 2 exp, 2^16 trials (counts|offsets)":
+        lambda: _simulated(StateSpec.coherent(2.0), EXP,
+                           SimSpec(trials=1 << 16, seed=7, carry_in="fixed_tau",
+                                   fixed_tau=0.1, collect_offsets=True)),
+    "simulate contiguous coherent 2 exp, 160 x 404 windows (counts|offsets)":
+        lambda: _simulated(StateSpec.coherent(2.0), EXP,
+                           SimSpec(trials=160, seed=8, carry_in="contiguous",
+                                   windows_per_trial=404, collect_offsets=True)),
     "validate --suite quick": lambda: _text_digest(run_suite("quick")[0]),
 }
 
