@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 usage error, 1 numerical failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -31,6 +30,7 @@ import numpy as np
 from .continuous import CwConfig, click_distribution_cw
 from .detector import DetectorConfig, EfficiencyProfile, ModeProfile
 from .errors import ConsistencyError, DomainError, EstimationError, IntegrationError
+from .figures import figure_payload
 from .independent import (click_distribution_independent, cond_prob_matrix,
                           deadtime_closed_form, resolve_n_max)
 from .montecarlo import SimSpec, empirical_distribution
@@ -264,71 +264,6 @@ def _cmd_reconstruct(args) -> int:
         repr(res.lambda_hat), len(gaps), "\n".join(lines))
     _emit(text, r.get("out"))
     return 0
-
-
-def _figure_states(fig: int):
-    if fig == 3:
-        return [("coherent_alpha0=2", StateSpec.coherent(2.0), 1.0)]
-    if fig == 4:
-        return [("fock4_eta=1", StateSpec.fock(4), 1.0),
-                ("fock4_eta=0.8", StateSpec.fock(4), 0.8)]
-    return [("squeezed_r=1.5_eta=0.8", StateSpec.squeezed(1.5), 0.8)]
-
-
-def _dist_within_tail(state: StateSpec, eta: float):
-    dist = photon_number_dist(state, eta=eta, nu=0.0)
-    m_max = dist.m_max
-    while dist.tail > 1e-8 and m_max < 1024:
-        m_max *= 2
-        dist = photon_number_dist(state, eta=eta, nu=0.0, m_max=m_max)
-    return dist
-
-
-def figure_payload(fig: int, spec: QuadratureSpec, tau_m: float = 1.0) -> dict:
-    """Distributions of the four detector models behind one example figure."""
-    from .independent import squeezed_distribution_direct
-
-    td, tr, delta, l_win = 0.05 * tau_m, 0.2 * tau_m, 0.3 * tau_m, 3
-    exp_cfg = DetectorConfig(tau_m=tau_m,
-                             efficiency=EfficiencyProfile.exponential(td, tr))
-    shift_cfg = DetectorConfig(tau_m=tau_m,
-                               efficiency=EfficiencyProfile.dead_time(td + tr))
-    cw = CwConfig(delta=delta, window_count=l_win)
-    datasets = {}
-    for label, state, eta in _figure_states(fig):
-        dist = _dist_within_tail(state, eta)
-        pnr = dist.probs
-        n_shift = min(shift_cfg.max_clicks(), dist.m_max)
-        shifted = np.array([
-            sum(deadtime_closed_form(shift_cfg, n, m) * dist.probs[m]
-                for m in range(dist.m_max + 1)) for n in range(n_shift + 1)])
-        if state.kind == "squeezed_vacuum":
-            # exact in the photon number, sidesteps the heavy-tail truncation
-            relax_cfg = DetectorConfig(tau_m=tau_m, eta=eta,
-                                       efficiency=exp_cfg.efficiency)
-            n_top = exp_cfg.max_clicks() or dist.m_max
-            relax = squeezed_distribution_direct(relax_cfg, state.r,
-                                                 n_max=n_top, spec=spec)
-        else:
-            relax = click_distribution_independent(dist, exp_cfg, spec).probs
-        cw_probs = click_distribution_cw(dist, exp_cfg, cw, spec).probs
-        n_len = max(len(pnr), len(shifted), len(relax), len(cw_probs))
-        pad = lambda a: np.pad(np.asarray(a, dtype=float), (0, n_len - len(a)))
-        datasets[label] = {
-            "eta": eta,
-            "models": {
-                "pnr": [repr(float(x)) for x in pad(pnr)],
-                "shifted_deadtime": [repr(float(x)) for x in pad(shifted)],
-                "relaxation": [repr(float(x)) for x in pad(relax)],
-                "continuous_wave": [repr(float(x)) for x in pad(cw_probs)],
-            },
-        }
-    body = json.dumps(datasets, sort_keys=True)
-    return {"figure": fig,
-            "parameters": {"tau_d": td, "tau_r": tr, "delta": delta,
-                           "windows": l_win, "tau_m": tau_m},
-            "digest": hashlib.sha256(body.encode()).hexdigest()[:16],
-            "datasets": datasets}
 
 
 def _gnuplot_script(payload: dict) -> str:

@@ -53,6 +53,10 @@ from .states import StateSpec
 # arrivals than a block of fresh windows.
 _BLOCK = 1 << 18
 
+# numpy's Poisson sampler refuses a mean above int64's largest value less
+# ten of its standard deviations, about 9.2e18
+_POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
 
 @dataclass(frozen=True)
 class SimSpec:
@@ -146,6 +150,17 @@ def _squeezed_number_weights(r: float, tail: float = 1e-10, cap: int = 400) -> n
     for m, w in vals.items():
         out[m] = w
     return out / out.sum()
+
+
+def _check_poisson_means(state: StateSpec, config: DetectorConfig) -> None:
+    """Raise ``DomainError`` for a Poisson mean the sampler cannot draw from."""
+    means = {"dark-count mean nu": config.nu}
+    if state.kind == "coherent":
+        means["coherent mean photon number eta*alpha0^2"] = config.eta * state.alpha0**2
+    for what, mean in means.items():
+        if mean > _POISSON_MAX:
+            raise DomainError(f"{what} = {mean:g} is above the simulator's Poisson limit "
+                              f"{_POISSON_MAX:.4g}")
 
 
 def _photon_counts(state: StateSpec, config: DetectorConfig, rng, size: int) -> np.ndarray:
@@ -286,6 +301,7 @@ def sample_window(state: StateSpec, config: DetectorConfig,
     Returns the click times and the offset of the last click from the
     window end (None when the window produced no click).
     """
+    _check_poisson_means(state, config)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(seed))
     n_sig = int(_photon_counts(state, config, rng, 1)[0])
@@ -313,6 +329,7 @@ def empirical_distribution(state: StateSpec, config: DetectorConfig,
     windows, threads the recovery state across them, and discards the first
     ``warm_up`` windows from the aggregate.
     """
+    _check_poisson_means(state, config)
     rng = np.random.Generator(np.random.Philox(sim.seed))
     hist = np.zeros(1, dtype=np.int64)
     gaps_all = []

@@ -24,19 +24,19 @@ one chain of convolutions.  For many photons the chain is exponentially
 tilted, every factor times e^(-lambda u), which keeps each convolution
 exact and damps the FFT round-off of the series product.
 
-Inside the chain the z-series axis comes first: tables are (k, rows,
-grid) and gap factors (K, 1, grid), so the FFTs run along the contiguous
-grid axis and each term of the Cauchy product multiplies and adds whole
-(rows, grid) blocks.  The products are the same multiplies and adds in
-the same order as on a coefficient-last layout, so the tables are the
-same bit for bit; the chain hands its callers (rows, grid, k) tables.
+Every table has one layout, (k, rows, grid), from ``_powers`` to the
+read-off: the FFTs run along the contiguous grid axis and each term of
+the Cauchy product multiplies and adds whole (rows, grid) blocks.
 
 Gaps are shifted by the dead time b and the first click by the support
 plan's offset, which leaves every gap factor smooth on the grid whatever b
-is.  Convolutions are trapezoid sums taken by FFT; the last one, against
-the tail factor that kinks at s = b, is a Gauss rule split there, with the
-chained table read off a local interpolant.  Read at one tail length
-instead, the table gives the density in the time of a pinned last click.
+is.  Convolutions are trapezoid sums taken by FFT, one series product a
+step: both factors enter with node 0 halved, the trapezoid's end weights,
+and node 0 of the result is zero, a sum over no length.  The last
+convolution, against the tail factor that kinks at s = b, is a Gauss rule
+split there, with the chained table read off a local interpolant.  Read
+at one tail length instead, the table gives the density in the time of a
+pinned last click.
 Tables at three grid sizes give a Richardson value and an error estimate.
 
 A tabulated recovery curve kinks at every knot.  It is served when every
@@ -70,8 +70,8 @@ from .weights import carry_average
 # product grows like (max D / min D)^k with the series degree k.  Untilted,
 # for the exponential profile (tau_d = 0.05, tau_r = 0.2) every row passes
 # its error test up to m_max = 24; at 28 the test rejects rows 10-11 and at
-# 32 rows 8-14.  The tilt below damps that growth: at m_max = 40 and 64
-# every row passes, with column sums within 5.5e-9 and 1.8e-8.  No single
+# 32 rows 9-13.  The tilt below damps that growth: at m_max = 40 and 64
+# every row passes, with column sums within 8.0e-9 and 1.8e-8.  No single
 # tilt served m_max = 128 or 256, so past the cutoff the engine is skipped
 # before it builds any series (figure 5 runs at m = 256).
 M_MAX = 64
@@ -83,7 +83,7 @@ M_MAX = 64
 # row at m_max 28-64 on (tau_d, tau_r) = (0.05, 0.2) and (0.1, 0.3); on
 # (0.05, 0.05) and (0.02, 0.1) it rejected no more rows than lambda = 0 or
 # 15.  lambda = 40 breaks row 2 on (0.05, 0.2).  The tilt costs low rows
-# accuracy: P(2|2) on (0.05, 0.2) is 5.5e-9 off its closed form at
+# accuracy: P(2|2) on (0.05, 0.2) is 8.0e-9 off its closed form at
 # lambda = 30 against 6.5e-14 untilted, inside the tolerance the rows are
 # taken at.
 _UNTILTED_M_MAX = 24
@@ -114,9 +114,9 @@ _TAIL_ORDER = 24
 
 
 def _powers(d: np.ndarray, size: int) -> np.ndarray:
-    """Table of d^k/k! for k < size on a new last axis."""
-    steps = d[..., None] / np.arange(1, size)
-    return np.concatenate([np.ones(d.shape + (1,)), np.cumprod(steps, axis=-1)], axis=-1)
+    """Table of d^k/k! for k < size on a new first axis."""
+    steps = d / np.arange(1, size).reshape((-1,) + (1,) * np.ndim(d))
+    return np.concatenate([np.ones((1,) + np.shape(d)), np.cumprod(steps, axis=0)])
 
 
 def _series_product(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
@@ -132,14 +132,14 @@ def _series_product(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
 
 
 def _interpolate(table: np.ndarray, x: np.ndarray, grid: int) -> np.ndarray:
-    """(C, P, K) values at points x (C, P) of a (C, grid + 1, K) grid table."""
+    """(K, C, P) values at points x (C, P) of a (K, C, grid + 1) grid table."""
     pos = x * grid
     start = np.clip(np.floor(pos).astype(int) - _LAGRANGE // 2 + 1, 0, grid + 1 - _LAGRANGE)
     r = pos - start
     factors = (r[..., None, None] - _NODES) / _SPREAD
     wts = np.where(_SAME, 1.0, factors).prod(axis=-1)
-    rows = table[np.arange(table.shape[0])[:, None, None], start[..., None] + _NODES]
-    return np.einsum("cpj,cpjk->cpk", wts, rows)
+    rows = table[:, np.arange(table.shape[1])[:, None, None], start[..., None] + _NODES]
+    return np.einsum("cpj,kcpj->kcp", wts, rows)
 
 
 def _scaled(config: DetectorConfig):
@@ -155,30 +155,27 @@ def _scaled(config: DetectorConfig):
     return (prof.breakpoint or 0.0) / tm, xi, cum
 
 
-def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
-           weight: Callable, click: float, n_max: int, grid: int, tilt: float = 0.0,
-           weights: Optional[np.ndarray] = None):
+def _chain(config: DetectorConfig, carries: Sequence[Optional[float]], weights: np.ndarray,
+           weight: Callable, click: float, n_max: int, grid: int, tilt: float = 0.0):
     """Chained weight of the n-th click on one grid, for n = 1..n_max.
 
     ``weight(elapsed, exposed)`` is a factor's weight for a stretch of
     ``elapsed`` window time of which ``exposed`` was detectable, with the
-    z-series coefficients (or a single value) on a new last axis.  Each
+    z-series coefficients (or a single value) on a new first axis.  Each
     click adds ``click`` times the efficiency at its gap.  The first
-    stretch starts at the window start, fully detectable when fresh, or
-    under the recovery from a click ``carry`` earlier.
+    stretch starts at the window start, fully detectable when fresh (carry
+    None), or under the recovery from a click ``carry`` earlier.
 
-    Yields ``(n, length, table)``: table[c, j] belongs to the n-th click at
-    1 - length[c] + j/grid, so the grid starts at the click's earliest time
-    and ``length`` is what remains of the window.  A table keeps
+    Yields ``(n, length, table)``: table[k, c, j] belongs to the n-th click
+    at 1 - length[c] + j/grid, so the grid starts at the click's earliest
+    time and ``length`` is what remains of the window.  A table keeps
     max(1, K - n + 1) coefficients: all a series row n needs, or its one
-    value.  The chain itself holds its table coefficient first, (k, C,
-    grid + 1), and yields a C-contiguous (C, grid + 1, k) copy: a strided
-    view would change the summation order of the read-off's einsum.
+    value.
 
-    With ``weights`` (one per carry) the rows are the weighted sums over
-    carries that share a grid: the chain is linear in its first factor, so
-    every carry at or past the dead time (offset 0) joins one row, and the
-    rows add up to the carry average.
+    Row c is the ``weights``-weighted sum of the carries that share its
+    grid: the chain is linear in its first factor, so every carry at or
+    past the dead time (offset 0) joins one row, and the rows add up to
+    the carry average.
 
     With ``tilt`` = lambda every factor is multiplied by e^(-lambda u) on its
     grid, so the table holds the n-th click's weight times e^(-lambda j/grid);
@@ -189,38 +186,33 @@ def _chain(config: DetectorConfig, carries: Sequence[Optional[float]],
     b, xi, cum = _scaled(config)
     h = 1.0 / grid
     u = np.arange(grid + 1) * h
-    damp = np.exp(-tilt * u)[:, None]
+    damp = np.exp(-tilt * u)
     size = 1 << (2 * (grid + 1) - 1).bit_length()  # FFT length: linear convolution
-    psi = click * damp * xi(b + u)[:, None] * weight(b + u, cum(b + u))
-    psi = np.ascontiguousarray(psi.T)[:, None]  # (K, 1, grid + 1), coefficient first
-    psi_hat = np.fft.rfft(psi, size)
+    psi = click * damp * xi(b + u) * weight(b + u, cum(b + u))  # (K, grid + 1)
+    psi[:, 0] *= 0.5  # trapezoid end weight
+    psi_hat = np.fft.rfft(psi[:, None], size)
 
     offsets = np.array([0.0 if c is None else max(0.0, b - c / tm) for c in carries])
-    table = damp * np.stack([
+    first = damp * np.stack([
         click * weight(u, u) if c is None else
-        click * xi(c / tm + t)[:, None] * weight(t, cum(c / tm + t) - cum(c / tm))
-        for c, t in zip(carries, offsets[:, None] + u)])
-    if weights is not None and len(carries) == 1:
-        table = weights[0] * table  # one carry: skip the grouping's overhead
-    elif weights is not None:
-        offsets, row = np.unique(offsets, return_inverse=True)
-        table = np.stack([np.tensordot(weights[row == r], table[row == r], 1)
-                          for r in range(len(offsets))])
-    table = np.ascontiguousarray(np.moveaxis(table, -1, 0))  # (K, C, grid + 1)
+        click * xi(c / tm + t) * weight(t, cum(c / tm + t) - cum(c / tm))
+        for c, t in zip(carries, offsets[:, None] + u)], axis=1)
+    offsets, row = np.unique(offsets, return_inverse=True)
+    table = (weights * (row == np.arange(len(offsets))[:, None])) @ first
     for n in range(1, n_max + 1):
-        yield n, 1.0 - offsets - (n - 1) * b, np.ascontiguousarray(table.transpose(1, 2, 0))
+        yield n, 1.0 - offsets - (n - 1) * b, table
         if n < n_max:
-            k = max(1, len(psi) - n)
-            table = table[:k]
-            full = np.fft.irfft(_series_product(np.fft.rfft(table, size), psi_hat, k),
-                                size)[..., :grid + 1]
-            table = h * full - 0.5 * h * (_series_product(table[..., :1], psi, k)
-                                          + _series_product(table, psi[..., :1], k))
+            table = table[:max(1, len(psi) - n)]
+            # a lone node 0 transforms to a constant: this halves the table's node 0
+            spectrum = np.fft.rfft(table, size) - 0.5 * table[..., :1]
+            table = h * np.fft.irfft(_series_product(spectrum, psi_hat, len(table)),
+                                     size)[..., :grid + 1]
+            table[..., 0] = 0.0  # a trapezoid over zero length
 
 
 def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
                s: np.ndarray, grid: int, weight: Callable, tilt: float = 0.0) -> np.ndarray:
-    """(C, P, k) chained table at tail lengths s (C or 1, P) times the tail weight.
+    """(k, C, P) chained table at tail lengths s (C or 1, P) times the tail weight.
 
     The table is read off its local interpolant at 1 - s, or at the node
     there for a tabulated curve (``serves`` put every read-off on one), and
@@ -231,20 +223,18 @@ def _with_tail(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
     pos = length[:, None] - s
     at = np.clip(pos, 0.0, 1.0)
     if config.efficiency.kind == "tabulated":
-        head = table[np.arange(len(table))[:, None], np.rint(at * grid).astype(int)]
+        head = table[:, np.arange(table.shape[1])[:, None], np.rint(at * grid).astype(int)]
     else:
         head = _interpolate(table, at, grid)
-    head = head * np.exp(tilt * at)[..., None]
-    k = table.shape[-1]
-    tail = weight(s, cum(s))[..., :k].transpose(2, 0, 1)
-    product = _series_product(head.transpose(2, 0, 1), tail, k).transpose(1, 2, 0)
-    return np.where((pos >= 0.0)[..., None], product, 0.0)
+    head = head * np.exp(tilt * at)
+    product = _series_product(head, weight(s, cum(s)), len(table))
+    return np.where(pos >= 0.0, product, 0.0)
 
 
 def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray,
                    span: Tuple[float, float], order: int, grid: int,
                    weight: Callable, tilt: float = 0.0) -> Optional[np.ndarray]:
-    """(C, k) integral of ``_with_tail`` over tails s in ``span``.
+    """(k, C) integral of ``_with_tail`` over tails s in ``span``.
 
     The Gauss rule is split at s = b, where the tail weight kinks.  A
     tabulated curve's tail weight kinks at its knots, which ``serves`` put
@@ -258,7 +248,7 @@ def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray
             return None
         ws = np.full(len(j), 1.0 / grid)
         ws[[0, -1]] *= 0.5
-        return np.einsum("p,cpk->ck", ws, _with_tail(config, table, length, j[None] / grid,
+        return np.einsum("p,kcp->kc", ws, _with_tail(config, table, length, j[None] / grid,
                                                       grid, weight, tilt))
     b = _scaled(config)[0]
     lo = np.full(len(length), max(0.0, span[0]))
@@ -272,7 +262,7 @@ def _tail_integral(config: DetectorConfig, table: np.ndarray, length: np.ndarray
                         mid[:, None] + (hi - mid)[:, None] * hx], axis=1)
     ws = np.concatenate([np.maximum(mid - lo, 0.0)[:, None] * hw,
                          np.maximum(hi - mid, 0.0)[:, None] * hw], axis=1)
-    return np.einsum("cp,cpk->ck", ws, _with_tail(config, table, length, s, grid, weight, tilt))
+    return np.einsum("cp,kcp->kc", ws, _with_tail(config, table, length, s, grid, weight, tilt))
 
 
 def _richardson(level: Callable):
@@ -288,10 +278,10 @@ def _richardson(level: Callable):
 
 
 def _coefficients(config: DetectorConfig, n_max: int, weight: Callable, click: float,
-                  size: int, carries: Sequence[Optional[float]], weights: Optional[np.ndarray],
+                  size: int, carries: Sequence[Optional[float]], weights: np.ndarray,
                   tails: Sequence[Union[float, Tuple[float, float]]], grid: int, order: int,
                   tilt: float) -> np.ndarray:
-    """[z^k] F_n in window units per tail, shape (tails, rows, n_max + 1, size).
+    """[z^k] F_n in window units per tail, shape (tails, n_max + 1, size, rows).
 
     One chain on one grid with factor ``weight`` and click weight ``click``;
     the rows are ``_chain``'s and ``size`` is the weight's series length.  A
@@ -302,32 +292,32 @@ def _coefficients(config: DetectorConfig, n_max: int, weight: Callable, click: f
     pinned = [i for i, tail in enumerate(tails) if np.ndim(tail) == 0]
     spans = [i for i, tail in enumerate(tails) if np.ndim(tail)]
     pins = np.array([tails[i] for i in pinned])
-    out = np.zeros((len(tails), 1, n_max + 1, size))  # stays zero when n_max = 0
-    for n, length, table in _chain(config, carries, weight, click, n_max, grid, tilt, weights):
+    out = np.zeros((len(tails), n_max + 1, size, 1))  # stays zero when n_max = 0
+    for n, length, table in _chain(config, carries, weights, weight, click, n_max, grid, tilt):
         if n == 1:
-            out = np.zeros((len(tails), len(table), n_max + 1, size))
-        k = table.shape[-1]
+            out = np.zeros((len(tails), n_max + 1, size, table.shape[1]))
+        k = len(table)
         rows = [_tail_integral(config, table, length, tails[i], order, grid, weight, tilt)
                 for i in spans]
         live = pins.size > 0 and np.any(length[:, None] >= pins)
         if not live and all(row is None for row in rows):
             break  # every later row is past the click cap
         if live:
-            out[pinned, :, n, :k] = (_with_tail(config, table, length, pins[None], grid,
-                                                weight, tilt) / config.tau_m).swapaxes(0, 1)
+            out[pinned, n, :k] = np.moveaxis(_with_tail(config, table, length, pins[None], grid,
+                                                        weight, tilt), -1, 0) / config.tau_m
         for i, row in zip(spans, rows):
             if row is not None:
-                out[i, :, n, :k] = row
+                out[i, n, :k] = row
     return out
 
 
 def _carries_and_tails(config: DetectorConfig, last_clicks, carries):
     """Checked carries and the tails of ``last_clicks`` in window units.
 
-    Carries come back as ``(taus, weights)``, fresh as ``([None], None)``;
+    Carries come back as ``(taus, weights)``, fresh as one carry None of weight 1;
     a tail is a span for None or (lo, hi) and a length for a pinned click.
     """
-    taus, weights = [None], None
+    taus, weights = [None], np.ones(1)
     if carries is not None:
         taus, weights = carry_average(carries)
         taus = [float(c) for c in taus]
@@ -396,15 +386,15 @@ def fock_tables(config: DetectorConfig, n_max: int, m_max: int,
     def level(grid, order):
         coef = _coefficients(config, n_max, weight, 1.0, m_max, taus, weights, tails,
                              grid, order, tilt)
-        entries = np.zeros(coef.shape[:3] + (m_max + 1,))
+        entries = np.zeros(coef.shape[:2] + (m_max + 1,) + coef.shape[3:])
         for n in range(1, n_max + 1):
-            entries[..., n, n:] = fact[n:] * coef[..., n, :m_max - n + 1]
+            entries[:, n, n:] = fact[n:, None] * coef[:, n, :m_max - n + 1]
         return entries
 
     value, err = _richardson(level)
     # rows on different grids have independent errors; a shared grid's row
     # sums its carries before the estimate is taken
-    return list(zip(value.sum(axis=1), err.sum(axis=1)))
+    return list(zip(value.sum(axis=-1), err.sum(axis=-1)))
 
 
 def coherent_tables(config: DetectorConfig, n_max: int, a: float,
@@ -434,11 +424,11 @@ def coherent_tables(config: DetectorConfig, n_max: int, a: float,
     taus, weights, tails = _carries_and_tails(config, last_clicks, carries)
 
     def weight(elapsed, exposed):
-        return np.exp(-a * exposed)[..., None]
+        return np.exp(-a * exposed)[None]
 
     def level(grid, order):
         return _coefficients(config, n_max, weight, a, 1, taus, weights, tails,
-                             grid, order, 0.0)[..., 0]
+                             grid, order, 0.0)[:, :, 0]
 
     value, err = _richardson(level)
-    return list(zip(value.sum(axis=1), err.sum(axis=1)))
+    return list(zip(value.sum(axis=-1), err.sum(axis=-1)))

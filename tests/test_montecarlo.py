@@ -168,6 +168,21 @@ def test_sim_spec_takes_numpy_integers():
     assert res.n_windows == 60
 
 
+# Poisson means above numpy's sampler limit (about 9.2e18): the coherent
+# mean eta*alpha0^2 = 1e20 and the dark-count mean nu = 1e19
+HUGE_MEANS = [(StateSpec.coherent(1e10), EXP, "alpha0"),
+              (StateSpec.fock(1), DetectorConfig(tau_m=1.0, nu=1e19), "nu")]
+
+
+@pytest.mark.parametrize("state, config, name", HUGE_MEANS, ids=["coherent", "dark"])
+@pytest.mark.parametrize("run", [
+    lambda state, config: empirical_distribution(state, config, SimSpec(trials=10)),
+    lambda state, config: sample_window(state, config)], ids=["empirical", "sample_window"])
+def test_poisson_mean_past_the_sampler_limit_is_rejected(state, config, name, run):
+    with pytest.raises(DomainError, match=name):
+        run(state, config)
+
+
 def _scalar_walk(prof, tau_m, times, uniforms, counts, carry, keep_from):
     """Reference for the stream walk: one arrival at a time, in plain Python."""
     rows, windows = counts.shape

@@ -46,9 +46,9 @@ def _gauss_rows(config, n_top, m_max, spec, carry=None, last_click=None):
     return out
 
 
-# (a, b, size) shapes of the chain's products: table by gap factor, the
-# trapezoid corrections (edge of either side), a cut below both lengths and
-# the one-coefficient coherent chain
+# (a, b, size) shapes of the series products: a chain step's table by gap
+# factor, a one-point last axis on either side, a read-off's head by tail
+# weight with a cut below both lengths, and the one-coefficient coherent chain
 PRODUCTS = [((7, 3, 9), (8, 1, 9), 7), ((7, 3, 1), (8, 1, 9), 7), ((7, 3, 9), (8, 1, 1), 7),
             ((6, 2, 4), (8, 2, 4), 4), ((1, 3, 9), (1, 1, 9), 1)]
 
@@ -295,7 +295,7 @@ def test_kernels_share_one_carried_chain(config, monkeypatch):
     def spy(*args, **kwargs):
         for i, step in enumerate(chain(*args, **kwargs)):
             if i == 0:
-                rows.append(len(step[2]))
+                rows.append(step[2].shape[1])
             yield step
 
     monkeypatch.setattr(renewal, "_chain", spy)

@@ -15,15 +15,26 @@ digest moves only where a change means to move it.
     python tools/digests.py                 # every output
     python tools/digests.py matrix kernels  # outputs whose name contains a word
     PYTHONPATH=/path/to/other/src python tools/digests.py
+    python tools/digests.py --against /path/to/other/src
 
 The package is imported from ``PYTHONPATH`` when it is found there, else
-from this checkout's ``src``.
+from this checkout's ``src``.  With ``--against`` the same outputs are
+also computed on the other checkout, in a subprocess that imports it
+through ``PYTHONPATH``.  Each line then reads the other checkout's digest,
+this one's, how many entries moved, the largest absolute move and the
+largest relative move (against the larger magnitude of the pair); a text
+output only says whether it moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import os
+import pickle
+import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from dataclasses import replace
@@ -39,8 +50,11 @@ from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile,  # noqa: E
                          coherent_click_probability_after_gap, cond_prob_matrix,
                          empirical_distribution, last_click_density, photon_number_dist,
                          regular_irregular_split)
-from snspd_stats.cli import figure_payload  # noqa: E402
 from snspd_stats.continuous import last_click_density_fock, memory_kernels  # noqa: E402
+try:
+    from snspd_stats.figures import figure_payload  # noqa: E402
+except ImportError:  # a checkout from before the figure code left the CLI
+    from snspd_stats.cli import figure_payload  # noqa: E402
 from snspd_stats.results import _payload_digest  # noqa: E402
 from snspd_stats.validation import run_suite  # noqa: E402
 
@@ -178,17 +192,63 @@ OUTPUTS = {
 }
 
 
-def main(argv) -> int:
-    words = argv[1:]
-    warnings.simplefilter("ignore")  # Delta = 0.3 is short of full recovery on exp
+def _outputs(words):
+    """(name, digest, values) per output whose name contains a word; text has no values."""
     for name, make in OUTPUTS.items():
         if words and not any(w in name for w in words):
             continue
         t0 = time.perf_counter()
         out = make()
-        digest = out if isinstance(out, str) else _payload_digest(np.asarray(out))
-        print(f"{digest}  {name}", flush=True)
+        values = None if isinstance(out, str) else np.asarray(out)
         print(f"  {name}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+        yield name, out if values is None else _payload_digest(values), values
+
+
+def _against(src: str, words) -> dict:
+    """{name: (digest, values)} of the outputs computed on the checkout at ``src``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = os.path.join(tmp, "outputs.pickle")
+        subprocess.run([sys.executable, __file__, "--dump", dump, *words], check=True,
+                       env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+        with open(dump, "rb") as fh:
+            return pickle.load(fh)
+
+
+def _moves(ours: np.ndarray, theirs: np.ndarray) -> str:
+    """How many entries moved, the largest absolute and the largest relative move."""
+    if ours.shape != theirs.shape:
+        return f"shape {theirs.shape} -> {ours.shape}"
+    a, b = ours.astype(float), theirs.astype(float)
+    diff, scale = np.abs(a - b), np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    return (f"moved {np.count_nonzero(diff)}/{diff.size}  "
+            f"abs {diff.max(initial=0.0):.2g}  rel {rel.max(initial=0.0):.2g}")
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description="Print one digest per standard output.")
+    parser.add_argument("words", nargs="*", help="only outputs whose name contains a word")
+    parser.add_argument("--against", metavar="SRC",
+                        help="another checkout's src: print both digests and the moves")
+    parser.add_argument("--dump", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv[1:])
+    warnings.simplefilter("ignore")  # Delta = 0.3 is short of full recovery on exp
+    if args.dump:
+        outputs = {name: (digest, values) for name, digest, values in _outputs(args.words)}
+        with open(args.dump, "wb") as fh:
+            pickle.dump(outputs, fh)
+        return 0
+    theirs = _against(args.against, args.words) if args.against else None
+    for name, digest, values in _outputs(args.words):
+        if theirs is None:
+            print(f"{digest}  {name}", flush=True)
+            continue
+        other, other_values = theirs[name]
+        if values is None or other_values is None:
+            moves = "text " + ("same" if other == digest else "moved")
+        else:
+            moves = _moves(values, other_values)
+        print(f"{other}  {digest}  {moves}  {name}", flush=True)
     return 0
 
 
