@@ -19,16 +19,24 @@ plus Poisson(nu) dark arrivals uniform over the window.  The squeezed
 weights are computed from the state expansion directly, keeping the oracle
 independent of the analytic distribution code.
 
-The simulator walks arrival streams.  A stream is one row: a single window
-that starts at its carry (fresh and fixed-tau modes), or a chunk of
-back-to-back windows of one trial (contiguous mode) that starts where the
-trial's previous chunk ended.  A chunk's arrivals are drawn at once, merged
-with the dark background, sorted along each row, and walked column by
-column: column j holds the j-th arrival of every row that has more than j,
-busiest rows first, so a step touches only the rows still running.  The
-walk keeps, for every arrival, the last click time and the count of missed
-arrivals so far; each window's clicks and last-click offset are read there
-at the window's last arrival.
+The simulator walks arrival streams.  A stream is one trial's row: a
+single window that starts at its carry (fresh and fixed-tau modes), or a
+chunk of back-to-back windows of one trial (contiguous mode) that starts
+where the trial's previous chunk ended.  A chunk's arrivals are drawn at
+once, merged with the dark background and sorted along each row.  When a
+chunk has few rows, each row is cut into segments of equal length, so that
+a step of the walk has enough rows to be worth its numpy calls.  Every
+segment is one walk row, and the rows are walked column by column: column j
+holds the j-th arrival of every row that has more than j, busiest rows
+first, so a step touches only the rows still running.  A trial's first
+segment starts from its carry and every later one from a guess, no click
+ever.  A segment whose guess differs from the end of the segment before is
+then walked again from that end, until its last click time equals the
+stored one after the same arrival: from there on every decision is the
+same.  This repeats until no start moves, at most once per segment, so the
+result is that of one sequential walk, bit for bit.  The walk keeps, for
+every arrival, whether it clicked and the last click time; each window's
+clicks and last-click offset are read at the window's last arrival.
 
 Everything is vectorized over rows with a counter-based generator (Philox)
 and a fixed draw order, so a seed fully determines the result.
@@ -52,6 +60,17 @@ from .states import StateSpec
 # the block) consecutive windows of each, so that a chunk carries no more
 # arrivals than a block of fresh windows.
 _BLOCK = 1 << 18
+
+# Walk rows to aim for.  A chunk of fewer trials cuts each trial's arrival
+# row into up to _WALK_ROWS // trials segments of at least _SEGMENT_MIN
+# arrivals, walked side by side from guessed starts and then mended (see
+# _Streams.walk).  A chunk of 160 trials by about 1 740 arrivals walks 25
+# segments of 70; a block of 2^18 fresh windows is one segment per trial.
+_WALK_ROWS = 4096
+_SEGMENT_MIN = 32
+
+# Candidates per slice of the gap sampler's acceptance step
+_SLICE = 1 << 16
 
 # numpy's Poisson sampler refuses a mean above int64's largest value less
 # ten of its standard deviations, about 9.2e18
@@ -206,80 +225,136 @@ def _arrivals(state: StateSpec, config: DetectorConfig, rng, rows: int, windows:
 
 
 class _Streams:
-    """The arrival streams of a chunk, laid out column by column for the walk.
+    """The arrival streams of a chunk, cut into segments and laid out column by column.
 
-    Rows go busiest first, so column j, the j-th arrival of every row that
-    has more than j, holds a prefix of the rows of column j - 1.  Laid-out
-    arrays hold one block per column after a leading block of one entry
-    per row, the state before the first arrival.
+    Each trial's padded arrival row is cut into ``segments`` pieces of
+    ``span`` arrivals, and each piece is one walk row.  Rows go busiest
+    first, so column j, the j-th arrival of every row that has more than j,
+    holds a prefix of the rows of column j - 1.  Laid-out arrays hold one
+    block per column after a leading block of one entry per row, the state
+    before the row's first arrival.
     """
 
     def __init__(self, counts: np.ndarray):
-        self.counts = counts  # arrivals per (row, window), rows in trial order
-        per_row = counts.sum(axis=1)
+        self.counts = counts  # arrivals per (trial, window)
+        per_trial = counts.sum(axis=1)
+        trials = len(per_trial)
+        self.width = int(per_trial.max())
+        self.segments = max(1, min(_WALK_ROWS // trials, self.width // _SEGMENT_MIN))
+        self.span = max(1, -(-self.width // self.segments))
+        # arrivals per (trial, segment); segment s of trial r, arrivals s * span on,
+        # is walk row r * segments + s before the ordering
+        self.per_segment = np.clip(per_trial[:, None] - self.span * np.arange(self.segments),
+                                   0, self.span).astype(np.min_scalar_type(self.span))
+        per_row = self.per_segment.ravel()
         rows = len(per_row)
-        self.width = int(per_row.max())
         # stable on the narrowest key: numpy radix-sorts keys of 16 bits or less
-        busy = (self.width - per_row).astype(np.min_scalar_type(self.width))
-        self.order = np.argsort(busy, kind="stable")  # walk row -> trial
-        self.rank = np.empty(rows, dtype=np.int64)  # trial -> walk row
+        busy = self.span - per_row
+        self.order = np.argsort(busy, kind="stable")  # walk row -> segment
+        self.rank = np.empty(rows, dtype=np.int64)  # segment -> walk row
         self.rank[self.order] = np.arange(rows)
         # column j's size: the rows with more than j arrivals
-        sizes = rows - np.cumsum(np.bincount(per_row, minlength=self.width))[:self.width]
+        sizes = rows - np.cumsum(np.bincount(per_row, minlength=self.span))[:self.span]
         ends = rows + np.cumsum(sizes)
         self.starts = np.concatenate([[0], ends - sizes])  # block 0, then column j at j + 1
         self.columns = list(zip(self.starts[1:].tolist(), ends.tolist()))
-        base = self.order * self.width
-        self._source = np.empty(int(sizes.sum()), dtype=np.int64)  # into (rows, width)
+        # segment s of trial r starts at r * width + s * span of the padded array
+        base = self.order // self.segments
+        base *= self.width - self.segments * self.span
+        base += self.span * self.order
+        self._source = np.empty(int(sizes.sum()), dtype=np.int64)  # into (trials, width)
         for j, (b, e) in enumerate(self.columns):
             np.add(base[:e - b], j, out=self._source[b - rows:e - rows])
 
-    def lay_out(self, padded: np.ndarray, head: Optional[np.ndarray] = None) -> np.ndarray:
-        """Lay out a (rows, width) array; ``head`` (per trial) fills block 0."""
+    def lay_out(self, padded: np.ndarray) -> np.ndarray:
+        """Lay out a (trials, width) array; block 0 is left for the walk."""
         rows = len(self.order)
         out = np.empty(rows + len(self._source))
-        if head is not None:
-            out[:rows] = head[self.order]
         np.take(padded.ravel(), self._source, out=out[rows:])
         return out
 
     def walk(self, prof, tau_m: float, times: np.ndarray, uniforms: np.ndarray,
-             keep_from: int, gaps: Optional[list]):
+             carry: np.ndarray, keep_from: int, gaps: Optional[list]):
         """Walk the streams in time order; clicks and offsets per (trial, window).
 
-        ``times`` is laid out with minus the carry in block 0 and is left
-        holding the last click time by each arrival (block 0: before any).
-        An arrival clicks when its uniform is below xi of the time since
-        the row's last click.  The offset is the time from a window's last
-        click to the window's end.  ``gaps`` collects the time since the
-        previous click of every click with one, in the windows from
-        ``keep_from`` on, by arrival rank and then trial.
+        ``times`` and ``uniforms`` are laid out; ``times`` is left holding
+        the last click time by each arrival (block 0: before any).  An
+        arrival clicks when its uniform is below xi of the time since the
+        row's last click.  A trial's first segment starts from minus its
+        carry, every later one from a guess, no click ever.  A segment
+        whose start then differs from the end of the segment before is
+        walked again from that end, until its state meets the stored one,
+        and so on until no start moves.  The offset is the time from a
+        window's last click to the window's end.  ``gaps`` collects the
+        time since the previous click of every click with one, in the
+        windows from ``keep_from`` on, by arrival rank and then trial.
         """
-        rows, windows = self.counts.shape
-        misses = np.empty(len(times), dtype=np.int32)  # arrivals without a click so far
-        misses[:rows] = 0
-        if gaps is not None:
-            per_row = self.counts.sum(axis=1)
-            first = self.counts[:, :keep_from].sum(axis=1)
-        last, missed = times[:rows], misses[:rows]
+        rows, segments, span = len(self.order), self.segments, self.span
+        # later segments with arrivals, as walk rows, and the end of the full one before
+        trial, segment = np.nonzero(self.per_segment[:, 1:])
+        later = self.rank[trial * segments + segment + 1]
+        before = self.starts[span] + self.rank[trial * segments + segment]
+        by_row = np.argsort(later)
+        later, before = later[by_row], before[by_row]
+        arrivals = times.copy() if len(later) else None  # for walking a segment again
+        times[:rows] = -np.inf
+        times[self.rank[::segments]] = -carry
+        missed = np.empty(len(times), dtype=bool)
         for j, (b, e) in enumerate(self.columns):
-            t, m = times[b:e], misses[b:e]
-            prev = last[:e - b]
-            gap = t - prev
-            rejected = uniforms[b:e] >= prof.value(gap)
-            if gaps is not None:
-                pick = self.rank[(first <= j) & (j < per_row)]
-                g = gap[pick]
-                gaps.append(g[~rejected[pick] & np.isfinite(g)])
-            np.copyto(t, prev, where=rejected)
-            np.add(missed[:e - b], rejected, out=m)
-            last, missed = t, m
-        # the running state at each window's last arrival
-        through = np.cumsum(self.counts[self.order], axis=1)
-        at = self.starts[through] + np.arange(rows)[:, None]
-        clicks = np.diff(through - misses[at], axis=1, prepend=0)
+            prev = times[self.starts[j]:self.starts[j] + e - b]
+            np.greater_equal(uniforms[b:e], prof.value(times[b:e] - prev), out=missed[b:e])
+            np.copyto(times[b:e], prev, where=missed[b:e])
+        for _ in range(segments):  # pass p leaves segments 0..p true
+            start = times[before]
+            moved = start != times[later]
+            if not moved.any():
+                break
+            self._rewalk(prof, arrivals, uniforms, times, missed, later[moved], start[moved])
+        misses = np.zeros(len(times), dtype=np.int32)  # arrivals without a click so far
+        for j, (b, e) in enumerate(self.columns):
+            p = self.starts[j]
+            np.add(misses[p:p + e - b], missed[b:e], out=misses[b:e])
+        earlier = np.zeros(rows, dtype=np.int32)  # the misses of the trial's earlier segments
+        for s in range(1, segments):
+            q = np.flatnonzero(self.per_segment[:, s]) * segments + s
+            a, b = self.rank[q - 1], self.rank[q]
+            earlier[b] = earlier[a] + misses[self.starts[span] + a]
+        trials, windows = self.counts.shape
+        through = np.cumsum(self.counts, axis=1)
+        # the walk row and laid-out index of the state at each window's last arrival
+        segment = np.maximum(through - 1, 0) // span
+        row = self.rank[np.arange(trials)[:, None] * segments + segment]
+        at = self.starts[through - segment * span] + row
+        clicks = np.diff(through - misses[at] - earlier[row], axis=1, prepend=0)
         offsets = tau_m * np.arange(1, windows + 1) - times[at]
-        return clicks[self.rank], offsets[self.rank]
+        if gaps is not None:
+            first = self.counts[:, :keep_from].sum(axis=1)
+            rank = self.rank.reshape(trials, segments)
+            for k in range(self.width):  # the trials' k-th arrivals, one column of a segment
+                s, j = divmod(k, span)
+                row = rank[(first <= k) & (k < through[:, -1]), s]
+                row = row[~missed[self.starts[j + 1] + row]]
+                gap = times[self.starts[j + 1] + row] - times[self.starts[j] + row]
+                gaps.append(gap[np.isfinite(gap)])
+        return clicks, offsets
+
+    def _rewalk(self, prof, arrivals, uniforms, times, missed, rows, start):
+        """Walk ``rows`` again from new starts until each meets its stored state."""
+        times[rows] = start
+        new = start
+        for b, e in self.columns:
+            live = np.searchsorted(rows, e - b)  # the rows that reach this column
+            rows, new = rows[:live], new[:live]
+            at = b + rows
+            t = arrivals[at]
+            miss = uniforms[at] >= prof.value(t - new)
+            missed[at] = miss
+            new = np.where(miss, new, t)
+            apart = new != times[at]
+            times[at] = new
+            rows, new = rows[apart], new[apart]
+            if not len(rows):
+                return
 
 
 def _simulate_chunk(state: StateSpec, config: DetectorConfig, rng, carry: np.ndarray,
@@ -287,10 +362,11 @@ def _simulate_chunk(state: StateSpec, config: DetectorConfig, rng, carry: np.nda
     """Clicks and last-click offsets per (trial, window) of one chunk."""
     times, counts = _arrivals(state, config, rng, len(carry), windows)
     streams = _Streams(counts)
-    laid = streams.lay_out(times, -carry)
+    laid = streams.lay_out(times)
     del times  # one padded array at a time: the uniforms' comes next
     uniforms = streams.lay_out(rng.uniform(size=(len(carry), streams.width)))
-    return streams.walk(config.efficiency, config.tau_m, laid, uniforms, keep_from, gaps)
+    return streams.walk(config.efficiency, config.tau_m, laid, uniforms, carry, keep_from,
+                        gaps)
 
 
 def sample_window(state: StateSpec, config: DetectorConfig,
@@ -382,6 +458,8 @@ def simulate_interpulse_gaps(config: DetectorConfig, rate: float, n_gaps: int,
     """
     if not (math.isfinite(rate) and rate > 0):
         raise DomainError("rate must be positive and finite")
+    if not isinstance(n_gaps, (int, np.integer)) or isinstance(n_gaps, bool):
+        raise DomainError(f"n_gaps must be an integer, got {n_gaps!r}")
     if n_gaps < 1:
         raise DomainError("n_gaps must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -394,13 +472,16 @@ def simulate_interpulse_gaps(config: DetectorConfig, rate: float, n_gaps: int,
         rounds += 1
         if rounds > 10000:
             raise EstimationError("gap sampling failed to terminate; is xi ever positive?")
-        t_alive = t_alive + rng.exponential(1.0 / rate, len(t_alive))
-        acc = rng.uniform(size=len(t_alive)) < prof.value(t_alive)
-        done = t_alive[acc]
+        t_alive += rng.exponential(1.0 / rate, len(t_alive))
+        u = rng.uniform(size=len(t_alive))
+        acc = np.empty(len(t_alive), dtype=bool)
+        for i in range(0, len(t_alive), _SLICE):  # xi slice by slice, in cache
+            np.less(u[i:i + _SLICE], prof.value(t_alive[i:i + _SLICE]), out=acc[i:i + _SLICE])
+        done = t_alive.compress(acc)  # as t_alive[acc], in less time
         take = min(len(done), n_gaps - filled)
         out[filled:filled + take] = done[:take]
         filled += take
-        t_alive = t_alive[~acc]
+        t_alive = t_alive.compress(~acc)
         deficit = n_gaps - filled - len(t_alive)
         if deficit > 0:
             t_alive = np.concatenate([t_alive, np.zeros(deficit)])

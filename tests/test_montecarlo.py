@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -216,8 +217,24 @@ def _streams_of(rows, windows, tau_m=1.0):
     return times, counts
 
 
+def _walked(prof, times, uniforms, counts, carry, keep_from):
+    """Clicks, offsets, gaps and segment count of the stream walk over padded arrays."""
+    streams = montecarlo._Streams(counts)
+    gaps = []
+    clicks, offsets = streams.walk(prof, 1.0, streams.lay_out(times), streams.lay_out(uniforms),
+                                   carry, keep_from, gaps)
+    return clicks, offsets, np.concatenate(gaps), streams.segments
+
+
+def _segments_of(monkeypatch, segment_min):
+    """Cut every arrival row into segments of about ``segment_min`` arrivals."""
+    if segment_min is not None:
+        monkeypatch.setattr(montecarlo, "_WALK_ROWS", 1 << 20)
+        monkeypatch.setattr(montecarlo, "_SEGMENT_MIN", segment_min)
+
+
 @pytest.mark.parametrize("windows, keep_from", [(1, 0), (3, 0), (3, 1)])
-def test_walk_matches_scalar_loop(windows, keep_from):
+def test_walk_matches_scalar_loop(windows, keep_from, monkeypatch):
     rng = np.random.Generator(np.random.Philox(61))
     rows = [
         [],                                                # no arrivals at all
@@ -234,21 +251,88 @@ def test_walk_matches_scalar_loop(windows, keep_from):
     carry = np.where(rng.uniform(size=len(rows)) < 0.5, np.inf,
                      rng.uniform(0.0, 0.3, len(rows)))
     carry[:3] = [np.inf, 0.02, 0.1]
-    for prof in (EXP.efficiency, DT.efficiency):
-        streams = montecarlo._Streams(counts)
-        gaps = []
-        clicks, offsets = streams.walk(prof, 1.0, streams.lay_out(times, -carry),
-                                       streams.lay_out(uniforms), keep_from, gaps)
+    # whole rows, then segments of one arrival and of three
+    for segment_min, prof in itertools.product([None, 1, 3], [EXP.efficiency, DT.efficiency]):
+        with monkeypatch.context() as patch:
+            _segments_of(patch, segment_min)
+            clicks, offsets, gaps, segments = _walked(prof, times, uniforms, counts, carry,
+                                                      keep_from)
+        assert (segments > 1) == (segment_min is not None)
         ref_clicks, ref_offsets, ref_gaps = _scalar_walk(prof, 1.0, times, uniforms, counts,
                                                          carry, keep_from)
         assert np.array_equal(clicks, ref_clicks)
         assert np.array_equal(offsets, ref_offsets)
-        assert np.array_equal(np.concatenate(gaps), ref_gaps)
+        assert np.array_equal(gaps, ref_gaps)
         assert clicks[1].sum() == 0  # u = 0, but 0.03 since the last click is < tau_d
         assert np.array_equal(offsets[1], np.arange(1, windows + 1) + 0.02)
         assert clicks[0].sum() == 0 and np.all(np.isinf(offsets[0]))
         if windows > 1:  # 0.04 from the click at 0.97 to the next window's first arrival
             assert clicks[2, 0] == 1 and clicks[2, 1] == 0
+
+
+def test_segmented_walk_short_rows(monkeypatch):
+    # rows of 0-3 arrivals next to rows of 40, cut into segments of 8
+    _segments_of(monkeypatch, 8)
+    rng = np.random.Generator(np.random.Philox(62))
+    rows = [[(int(w), float(t)) for w, t in zip(rng.integers(0, 4, k), rng.uniform(0.0, 1.0, k))]
+            for k in [40, 0, 1, 3, 40, 2, 39]]
+    times, counts = _streams_of(rows, 4)
+    uniforms = rng.uniform(size=times.shape)
+    carry = rng.uniform(0.0, 0.2, len(rows))
+    clicks, offsets, gaps, segments = _walked(EXP.efficiency, times, uniforms, counts, carry, 1)
+    assert segments == 5
+    ref_clicks, ref_offsets, ref_gaps = _scalar_walk(EXP.efficiency, 1.0, times, uniforms,
+                                                     counts, carry, 1)
+    assert np.array_equal(clicks, ref_clicks)
+    assert np.array_equal(offsets, ref_offsets)
+    assert np.array_equal(gaps, ref_gaps)
+
+
+def test_segmented_walk_dead_time_over_a_segment_edge(monkeypatch):
+    # one arrival per segment: the guess of a later segment (no click ever)
+    # clicks at 0.21 and 0.22, but the click at 0.2 makes both dead
+    _segments_of(monkeypatch, 1)
+    times, counts = _streams_of([[(0, 0.2), (0, 0.21), (0, 0.22), (0, 0.3), (0, 0.31)]], 1)
+    uniforms = np.zeros(times.shape)
+    carry = np.array([np.inf])
+    clicks, offsets, gaps, segments = _walked(DT.efficiency, times, uniforms, counts, carry, 0)
+    assert segments == 5
+    assert clicks.tolist() == [[2]]  # 0.2 and 0.3
+    assert offsets.tolist() == [[0.7]]
+    assert np.array_equal(gaps, [0.3 - 0.2])
+
+
+def test_segmented_walk_without_coalescing(monkeypatch):
+    # xi = 0: no row ever clicks, so no later segment meets its guess and the
+    # true start, the carry, must be carried through every segment in turn
+    _segments_of(monkeypatch, 2)
+    never = EfficiencyProfile.tabulated([(0.0, 0.0), (1.0, 0.0)])
+    rng = np.random.Generator(np.random.Philox(63))
+    rows = [[(int(w), float(t)) for w, t in zip(rng.integers(0, 3, k), rng.uniform(0.0, 1.0, k))]
+            for k in [21, 5, 0, 16]]
+    times, counts = _streams_of(rows, 3)
+    uniforms = rng.uniform(size=times.shape)
+    carry = np.array([0.1, 0.3, 0.2, np.inf])
+    clicks, offsets, gaps, segments = _walked(never, times, uniforms, counts, carry, 0)
+    assert segments == 10
+    ref_clicks, ref_offsets, _ = _scalar_walk(never, 1.0, times, uniforms, counts, carry, 0)
+    assert np.array_equal(clicks, ref_clicks) and not clicks.any()
+    assert np.array_equal(offsets, ref_offsets)
+    assert np.array_equal(offsets, np.arange(1, 4) + carry[:, None])
+    assert gaps.size == 0
+
+
+def test_segmented_contiguous_run_collects_the_same_gaps(monkeypatch):
+    state = StateSpec.coherent(2.0)
+    sim = SimSpec(trials=60, seed=47, carry_in="contiguous", windows_per_trial=40,
+                  collect_gaps=True, collect_offsets=True)
+    whole = empirical_distribution(state, EXP, sim)
+    _segments_of(monkeypatch, 4)
+    cut = empirical_distribution(state, EXP, sim)
+    assert len(whole.interpulse_gaps) > 1000
+    assert np.array_equal(cut.counts, whole.counts)
+    assert np.array_equal(cut.last_offsets, whole.last_offsets)
+    assert np.array_equal(cut.interpulse_gaps, whole.interpulse_gaps)
 
 
 def test_contiguous_chunks_match_chained_windows(monkeypatch):
@@ -298,6 +382,23 @@ class TestInterpulseGaps:
         for rate in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 simulate_interpulse_gaps(EXP, rate=rate, n_gaps=10_000_000)
+
+    @pytest.mark.parametrize("n_gaps", [2.5, 6.0, True, "3", None])
+    def test_n_gaps_must_be_an_integer(self, n_gaps, monkeypatch):
+        # rejected at entry: no generator is ever built
+        monkeypatch.setattr(np.random, "Generator", None)
+        with pytest.raises(DomainError, match="n_gaps must be an integer"):
+            simulate_interpulse_gaps(EXP, rate=0.2, n_gaps=n_gaps)
+
+    def test_n_gaps_takes_numpy_integers(self):
+        a = simulate_interpulse_gaps(EXP, rate=0.2, n_gaps=np.int32(500), seed=9)
+        assert np.array_equal(a, simulate_interpulse_gaps(EXP, rate=0.2, n_gaps=500, seed=9))
+
+    def test_slices_do_not_change_the_gaps(self, monkeypatch):
+        whole = simulate_interpulse_gaps(EXP, rate=0.2, n_gaps=5000, seed=10)
+        monkeypatch.setattr(montecarlo, "_SLICE", 7)
+        assert np.array_equal(simulate_interpulse_gaps(EXP, rate=0.2, n_gaps=5000, seed=10),
+                              whole)
 
 
 def test_result_serialization():

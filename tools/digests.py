@@ -2,12 +2,16 @@
 
 A digest is the first 16 hex digits of the sha256 of the comma-joined
 ``repr`` of every float of the output, the scheme of
-``results._payload_digest``; text outputs hash their bytes.  Every output
+``results._payload_digest``.  ``figure_payload(4)`` keeps the figure's own
+digest and ``validate --suite quick`` hashes the report's bytes; their
+floats are the click distributions of the figure's four models on both of
+its datasets and each report row's observed value, as printed.  Every output
 uses ``QuadratureSpec(seed=3)``, tau_m = 1, exp = (tau_d 0.05, tau_r 0.2),
 dead = tau_d 0.05, fast = exp with tau_r 5e-6 and, for the memory model,
 ``CwConfig(delta=0.3)``.  A simulator row hashes the click counts, the
 window count and, where the run collects them, the last-click offsets or
-the inter-click gaps, in the order the run returns them.
+the inter-click gaps, in the order the run returns them; a gap sampler row
+hashes the gaps.
 
 Run it on two checkouts and compare the lines (timings go to stderr): a
 digest moves only where a change means to move it.
@@ -22,8 +26,7 @@ from this checkout's ``src``.  With ``--against`` the same outputs are
 also computed on the other checkout, in a subprocess that imports it
 through ``PYTHONPATH``.  Each line then reads the other checkout's digest,
 this one's, how many entries moved, the largest absolute move and the
-largest relative move (against the larger magnitude of the pair); a text
-output only says whether it moved.
+largest relative move (against the larger magnitude of the pair).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import argparse
 import hashlib
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,7 +53,7 @@ from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile,  # noqa: E
                          click_distribution_independent, coherent_click_probability,
                          coherent_click_probability_after_gap, cond_prob_matrix,
                          empirical_distribution, last_click_density, photon_number_dist,
-                         regular_irregular_split)
+                         regular_irregular_split, simulate_interpulse_gaps)
 from snspd_stats.continuous import last_click_density_fock, memory_kernels  # noqa: E402
 try:
     from snspd_stats.figures import figure_payload  # noqa: E402
@@ -77,8 +81,19 @@ OFFSETS = np.array([0.01, 0.03, 0.1, 0.27, 0.6])
 CARRIES = (0.0, 0.02, 0.05, 0.1, 0.3, 5.0)
 
 
-def _text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _figure(fig: int):
+    """The figure's digest and the floats of its model distributions."""
+    payload = figure_payload(fig, SPEC)
+    models = [model for _, data in sorted(payload["datasets"].items())
+              for _, model in sorted(data["models"].items())]
+    return payload["digest"], np.array([float(x) for model in models for x in model])
+
+
+def _validate_quick():
+    """The report's text digest and each row's observed value, as printed."""
+    report = run_suite("quick")[0]
+    observed = [float(x) for x in re.findall(r"observed=(\S+)", report)]
+    return hashlib.sha256(report.encode()).hexdigest()[:16], np.array(observed)
 
 
 def _kernels(config, m_max):
@@ -122,6 +137,11 @@ def _simulated(state, config, sim):
     parts = [res.counts, [res.n_windows]]
     parts += [x for x in (res.last_offsets, res.interpulse_gaps) if x is not None]
     return np.concatenate(parts)
+
+
+def _contiguous(state, config, seed, collect):
+    return _simulated(state, config, SimSpec(trials=160, seed=seed, carry_in="contiguous",
+                                             windows_per_trial=404, **{collect: True}))
 
 
 def _split():
@@ -173,7 +193,7 @@ OUTPUTS = {
     "last_click_fock nested_gauss exp m 1,3,5 | dead carry 0.02 m 1,3,5, the kernel reference":
         lambda: _fock_density(replace(SPEC, method="nested_gauss"), (1, 3, 5)),
     "split exp/dead n 1-3 m n-6 (regular, irregular)": _split,
-    "figure_payload(4)": lambda: figure_payload(4, SPEC)["digest"],
+    "figure_payload(4)": lambda: _figure(4),
     "simulate fresh fock 3 dead 0.2, 2^16 trials (counts|offsets)":
         lambda: _simulated(StateSpec.fock(3), DEAD02,
                            SimSpec(trials=1 << 16, seed=5, collect_offsets=True)),
@@ -185,23 +205,31 @@ OUTPUTS = {
                            SimSpec(trials=1 << 16, seed=7, carry_in="fixed_tau",
                                    fixed_tau=0.1, collect_offsets=True)),
     "simulate contiguous coherent 2 exp, 160 x 404 windows (counts|offsets)":
-        lambda: _simulated(StateSpec.coherent(2.0), EXP,
-                           SimSpec(trials=160, seed=8, carry_in="contiguous",
-                                   windows_per_trial=404, collect_offsets=True)),
-    "validate --suite quick": lambda: _text_digest(run_suite("quick")[0]),
+        lambda: _contiguous(StateSpec.coherent(2.0), EXP, 8, "collect_offsets"),
+    "simulate contiguous coherent 2 exp, 160 x 404 windows (counts|gaps)":
+        lambda: _contiguous(StateSpec.coherent(2.0), EXP, 9, "collect_gaps"),
+    "simulate contiguous coherent 2 dead 0.2, 160 x 404 windows (counts|offsets)":
+        lambda: _contiguous(StateSpec.coherent(2.0), DEAD02, 10, "collect_offsets"),
+    "simulate contiguous coherent 2 tabulated, 160 x 404 windows (counts|offsets)":
+        lambda: _contiguous(StateSpec.coherent(2.0), TABULATED, 11, "collect_offsets"),
+    "simulate_interpulse_gaps exp rate 0.25, 10^6 gaps":
+        lambda: simulate_interpulse_gaps(EXP, 0.25, 1_000_000, seed=12),
+    "simulate_interpulse_gaps dead rate 0.25, 10^6 gaps":
+        lambda: simulate_interpulse_gaps(DEAD, 0.25, 1_000_000, seed=13),
+    "validate --suite quick": _validate_quick,
 }
 
 
 def _outputs(words):
-    """(name, digest, values) per output whose name contains a word; text has no values."""
+    """(name, digest, values) per output whose name contains a word."""
     for name, make in OUTPUTS.items():
         if words and not any(w in name for w in words):
             continue
         t0 = time.perf_counter()
         out = make()
-        values = None if isinstance(out, str) else np.asarray(out)
+        digest, values = out if isinstance(out, tuple) else (None, np.asarray(out))
         print(f"  {name}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
-        yield name, out if values is None else _payload_digest(values), values
+        yield name, digest or _payload_digest(values), values
 
 
 def _against(src: str, words) -> dict:
@@ -244,11 +272,7 @@ def main(argv) -> int:
             print(f"{digest}  {name}", flush=True)
             continue
         other, other_values = theirs[name]
-        if values is None or other_values is None:
-            moves = "text " + ("same" if other == digest else "moved")
-        else:
-            moves = _moves(values, other_values)
-        print(f"{other}  {digest}  {moves}  {name}", flush=True)
+        print(f"{other}  {digest}  {_moves(values, other_values)}  {name}", flush=True)
     return 0
 
 
