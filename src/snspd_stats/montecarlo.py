@@ -28,15 +28,16 @@ chunk has few rows, each row is cut into segments of equal length, so that
 a step of the walk has enough rows to be worth its numpy calls.  Every
 segment is one walk row, and the rows are walked column by column: column j
 holds the j-th arrival of every row that has more than j, busiest rows
-first, so a step touches only the rows still running.  A trial's first
-segment starts from its carry and every later one from a guess, no click
-ever.  A segment whose guess differs from the end of the segment before is
-then walked again from that end, until its last click time equals the
-stored one after the same arrival: from there on every decision is the
-same.  This repeats until no start moves, at most once per segment, so the
-result is that of one sequential walk, bit for bit.  The walk keeps, for
-every arrival, whether it clicked and the last click time; each window's
-clicks and last-click offset are read at the window's last arrival.
+first, so a step touches only the rows still running.  A walk runs in
+passes of one column loop.  The first pass starts a trial's first segment
+from its carry and every later one from a guess, no click ever.  Each later
+pass starts every segment from the end of the segment before, and stops at
+the first column in which every row's last click time equals the one the
+pass before left there: from there on every decision is the same.  The
+passes end when no start moves, at most one per segment, so the result is
+that of one sequential walk, bit for bit.  The walk keeps, for every
+arrival, whether it clicked and the last click time; each window's clicks
+and last-click offset are read at the window's last arrival.
 
 Everything is vectorized over rows with a counter-based generator (Philox)
 and a fixed draw order, so a seed fully determines the result.
@@ -63,9 +64,10 @@ _BLOCK = 1 << 18
 
 # Walk rows to aim for.  A chunk of fewer trials cuts each trial's arrival
 # row into up to _WALK_ROWS // trials segments of at least _SEGMENT_MIN
-# arrivals, walked side by side from guessed starts and then mended (see
-# _Streams.walk).  A chunk of 160 trials by about 1 740 arrivals walks 25
-# segments of 70; a block of 2^18 fresh windows is one segment per trial.
+# arrivals, walked side by side in passes of one column loop, the later
+# passes only up to the first column that no start change reaches any more
+# (see _Streams.walk).  A chunk of 160 trials by about 1 740 arrivals walks
+# 25 segments of 70; a block of 2^18 fresh windows is one segment per trial.
 _WALK_ROWS = 4096
 _SEGMENT_MIN = 32
 
@@ -277,39 +279,45 @@ class _Streams:
              carry: np.ndarray, keep_from: int, gaps: Optional[list]):
         """Walk the streams in time order; clicks and offsets per (trial, window).
 
-        ``times`` and ``uniforms`` are laid out; ``times`` is left holding
-        the last click time by each arrival (block 0: before any).  An
-        arrival clicks when its uniform is below xi of the time since the
-        row's last click.  A trial's first segment starts from minus its
-        carry, every later one from a guess, no click ever.  A segment
-        whose start then differs from the end of the segment before is
-        walked again from that end, until its state meets the stored one,
-        and so on until no start moves.  The offset is the time from a
-        window's last click to the window's end.  ``gaps`` collects the
-        time since the previous click of every click with one, in the
-        windows from ``keep_from`` on, by arrival rank and then trial.
+        ``times`` and ``uniforms`` are laid out.  An arrival clicks when its
+        uniform is below xi of the time since the row's last click.  Each
+        pass sets every segment's start in block 0 and runs the column
+        loop: a trial's first segment starts from minus its carry, a later
+        one from a guess, no click ever, on the first pass and from the end
+        of the segment before on every later pass.  A later pass stops at
+        the first column whose rows all meet their states of the pass
+        before, since from there on every decision is the same.  The passes
+        end when no start moves.  The offset is the time from a window's
+        last click to the window's end.  ``gaps`` collects the time since
+        the previous click of every click with one, in the windows from
+        ``keep_from`` on, by arrival rank and then trial.
         """
         rows, segments, span = len(self.order), self.segments, self.span
         # later segments with arrivals, as walk rows, and the end of the full one before
         trial, segment = np.nonzero(self.per_segment[:, 1:])
         later = self.rank[trial * segments + segment + 1]
         before = self.starts[span] + self.rank[trial * segments + segment]
-        by_row = np.argsort(later)
-        later, before = later[by_row], before[by_row]
-        arrivals = times.copy() if len(later) else None  # for walking a segment again
-        times[:rows] = -np.inf
-        times[self.rank[::segments]] = -carry
+        state = np.empty(len(times))  # the last click time by each arrival; block 0: before any
+        state[:rows] = -np.inf
+        state[self.rank[::segments]] = -carry
         missed = np.empty(len(times), dtype=bool)
-        for j, (b, e) in enumerate(self.columns):
-            prev = times[self.starts[j]:self.starts[j] + e - b]
-            np.greater_equal(uniforms[b:e], prof.value(times[b:e] - prev), out=missed[b:e])
-            np.copyto(times[b:e], prev, where=missed[b:e])
-        for _ in range(segments):  # pass p leaves segments 0..p true
-            start = times[before]
-            moved = start != times[later]
-            if not moved.any():
-                break
-            self._rewalk(prof, arrivals, uniforms, times, missed, later[moved], start[moved])
+        column = np.empty(rows)  # a later pass's states of one column
+        for p in range(segments):  # pass p leaves segments 0..p true
+            if p:
+                start = state[before]
+                if np.array_equal(start, state[later]):
+                    break
+                state[later] = start
+            for j, (b, e) in enumerate(self.columns):
+                prev = state[self.starts[j]:self.starts[j] + e - b]
+                np.greater_equal(uniforms[b:e], prof.value(times[b:e] - prev), out=missed[b:e])
+                new = column[:e - b] if p else state[b:e]
+                np.copyto(new, times[b:e])
+                np.copyto(new, prev, where=missed[b:e])
+                if p:
+                    if np.array_equal(new, state[b:e]):
+                        break  # every later decision is the same
+                    state[b:e] = new
         misses = np.zeros(len(times), dtype=np.int32)  # arrivals without a click so far
         for j, (b, e) in enumerate(self.columns):
             p = self.starts[j]
@@ -326,7 +334,7 @@ class _Streams:
         row = self.rank[np.arange(trials)[:, None] * segments + segment]
         at = self.starts[through - segment * span] + row
         clicks = np.diff(through - misses[at] - earlier[row], axis=1, prepend=0)
-        offsets = tau_m * np.arange(1, windows + 1) - times[at]
+        offsets = tau_m * np.arange(1, windows + 1) - state[at]
         if gaps is not None:
             first = self.counts[:, :keep_from].sum(axis=1)
             rank = self.rank.reshape(trials, segments)
@@ -334,27 +342,9 @@ class _Streams:
                 s, j = divmod(k, span)
                 row = rank[(first <= k) & (k < through[:, -1]), s]
                 row = row[~missed[self.starts[j + 1] + row]]
-                gap = times[self.starts[j + 1] + row] - times[self.starts[j] + row]
+                gap = state[self.starts[j + 1] + row] - state[self.starts[j] + row]
                 gaps.append(gap[np.isfinite(gap)])
         return clicks, offsets
-
-    def _rewalk(self, prof, arrivals, uniforms, times, missed, rows, start):
-        """Walk ``rows`` again from new starts until each meets its stored state."""
-        times[rows] = start
-        new = start
-        for b, e in self.columns:
-            live = np.searchsorted(rows, e - b)  # the rows that reach this column
-            rows, new = rows[:live], new[:live]
-            at = b + rows
-            t = arrivals[at]
-            miss = uniforms[at] >= prof.value(t - new)
-            missed[at] = miss
-            new = np.where(miss, new, t)
-            apart = new != times[at]
-            times[at] = new
-            rows, new = rows[apart], new[apart]
-            if not len(rows):
-                return
 
 
 def _simulate_chunk(state: StateSpec, config: DetectorConfig, rng, carry: np.ndarray,

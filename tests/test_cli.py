@@ -72,6 +72,25 @@ def test_simulate_deterministic_and_gaps(tmp_path, capsys):
     assert len(gaps) > 0 and np.all(gaps > 0)
 
 
+@pytest.mark.parametrize("unit, scale", [("taum", 2.0), ("seconds", 1.0)])
+def test_simulate_fixed_carry(capsys, unit, scale):
+    # in units of tau_m the carry is scaled like the recovery times; in seconds neither is
+    from snspd_stats import (DetectorConfig, EfficiencyProfile, SimSpec, StateSpec,
+                             empirical_distribution)
+    code, out = run(capsys, ["simulate", "--state", "coherent:2", "--profile", "exp",
+                             "--tau-m", "2", "--time-unit", unit, "--carry", "fixed:0.1",
+                             "--trials", "20000", "--seed", "5"])
+    assert code == 0
+    config = DetectorConfig(tau_m=2.0, efficiency=EfficiencyProfile.exponential(
+        0.05 * scale, 0.2 * scale))
+    res = empirical_distribution(StateSpec.coherent(2.0), config, SimSpec(
+        trials=20000, seed=5, carry_in="fixed_tau", fixed_tau=0.1 * scale))
+    result = json.loads(out)["result"]
+    assert result["scenario"] == "montecarlo:fixed_tau"
+    assert result["config"] == json.loads(json.dumps(config.to_json_dict()))
+    assert [float(p) for p in result["probs"]] == res.probs.tolist()
+
+
 def test_reconstruct_from_file(tmp_path, capsys):
     from snspd_stats import DetectorConfig, EfficiencyProfile, simulate_interpulse_gaps
     cfg = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.dead_time(0.1))

@@ -281,6 +281,18 @@ class TestDeltaResolution:
         capped = resolve_delta(EXP, CwConfig())
         assert capped == pytest.approx(0.3)
 
+    def test_tabulated_default_is_the_first_recovered_knot(self):
+        curve = [(0.0, 0.0), (0.1, 0.5), (0.15, 0.995), (0.2, 0.98), (0.4, 1.0)]
+        config = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(curve))
+        assert resolve_delta(config, CwConfig()) == 0.15
+        late = [(0.0, 0.0), (0.8, 0.99), (2.0, 1.0)]  # capped at 0.3 tau_m
+        config = DetectorConfig(tau_m=2.0, efficiency=EfficiencyProfile.tabulated(late))
+        assert resolve_delta(config, CwConfig()) == pytest.approx(0.6)
+
+    def test_ideal_default(self):
+        assert resolve_delta(IDEAL, CwConfig()) == pytest.approx(1e-3)
+        assert resolve_delta(replace(IDEAL, tau_m=4.0), CwConfig()) == pytest.approx(4e-3)
+
     def test_warning_on_unrecovered_delta(self):
         with pytest.warns(UserWarning, match="uniform-distribution"):
             resolve_delta(EXP, CwConfig(delta=0.3))

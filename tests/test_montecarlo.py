@@ -6,10 +6,10 @@ import pytest
 from scipy.stats import chisquare, poisson
 
 from snspd_stats import (DetectorConfig, DomainError, EfficiencyProfile,
-                         QuadratureSpec, SimSpec, StateSpec,
+                         QuadratureSpec, SimSpec, StateSpec, coherent_click_probability,
                          coherent_click_probability_after_gap,
                          deadtime_closed_form, empirical_distribution,
-                         sample_window, simulate_interpulse_gaps)
+                         photon_number_dist, sample_window, simulate_interpulse_gaps)
 from snspd_stats import montecarlo
 
 EXP = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.exponential(0.05, 0.2))
@@ -25,6 +25,56 @@ def test_single_photon_always_clicks():
 def test_vacuum_never_clicks():
     res = empirical_distribution(StateSpec.fock(0), DT, SimSpec(trials=500, seed=2))
     assert res.probs[0] == 1.0
+
+
+def test_unsqueezed_vacuum_never_clicks():
+    res = empirical_distribution(StateSpec.squeezed(0.0), EXP, SimSpec(trials=500, seed=2))
+    assert res.probs.tolist() == [1.0]
+
+
+def _assert_matches(res, ref):
+    """Every bin of ``ref`` (the rest of the mass lumped at its end) within 4 sigma."""
+    probs = np.zeros(max(len(ref), len(res.counts)))
+    probs[:len(res.counts)] = res.probs
+    probs[len(ref) - 1] = probs[len(ref) - 1:].sum()
+    for n, q in enumerate(ref):
+        se = math.sqrt(max(q * (1 - q), 1e-12) / res.n_windows)
+        assert abs(probs[n] - q) < 4 * se, (n, probs[n], q)
+
+
+def test_custom_state_is_thinned_like_its_photon_numbers():
+    state = StateSpec.custom([0.2, 0.5, 0.3])
+    cfg = DetectorConfig(tau_m=1.0, eta=0.7)
+    res = empirical_distribution(state, cfg, SimSpec(trials=200_000, seed=3))
+    _assert_matches(res, photon_number_dist(state, eta=0.7).probs)
+
+
+@pytest.mark.parametrize("sim", [
+    SimSpec(trials=200_000, seed=71),
+    SimSpec(trials=200_000, seed=72, carry_in="fixed_tau", fixed_tau=0.01),
+    SimSpec(trials=500, seed=73, carry_in="contiguous", windows_per_trial=404)],
+    ids=["fresh", "fixed_tau", "contiguous"])
+def test_dark_counts_alone_are_poisson(sim):
+    # an ideal detector clicks on every dark arrival, across window edges too
+    res = empirical_distribution(StateSpec.fock(0), DetectorConfig(tau_m=1.0, nu=1.5), sim)
+    assert res.n_windows == 200_000
+    assert abs(res.mean_clicks() - 1.5) < 4 * math.sqrt(1.5 / res.n_windows)
+    ref = poisson.pmf(np.arange(9), 1.5)
+    ref[-1] = poisson.sf(7, 1.5)
+    _assert_matches(res, ref)
+
+
+@pytest.mark.parametrize("carry", [None, 0.1])
+def test_dark_counts_on_a_recovering_detector(carry):
+    cfg = DetectorConfig(tau_m=1.0, nu=0.8, efficiency=EXP.efficiency)
+    if carry is None:
+        sim = SimSpec(trials=150_000, seed=74)
+        ref = [coherent_click_probability(cfg, n, 0.0) for n in range(6)]
+    else:
+        sim = SimSpec(trials=150_000, seed=75, carry_in="fixed_tau", fixed_tau=carry)
+        ref = [coherent_click_probability_after_gap(cfg, n, 0.0, carry) for n in range(6)]
+    ref.append(1.0 - sum(ref))
+    _assert_matches(empirical_distribution(StateSpec.fock(0), cfg, sim), ref)
 
 
 def test_same_seed_identical():
@@ -300,6 +350,26 @@ def test_segmented_walk_dead_time_over_a_segment_edge(monkeypatch):
     assert clicks.tolist() == [[2]]  # 0.2 and 0.3
     assert offsets.tolist() == [[0.7]]
     assert np.array_equal(gaps, [0.3 - 0.2])
+
+
+def test_segmented_walk_mends_past_rows_that_already_agree(monkeypatch):
+    # segments of three arrivals, u = 0 and a dead time of 0.05: from the true
+    # start 0.3 the first trial's second segment agrees with its guess at once
+    # (0.4 clicks either way), the second trial's only from its third arrival on
+    # (0.32 is dead and 0.36 clicks, where the guess clicks at 0.32 only)
+    _segments_of(monkeypatch, 3)
+    times, counts = _streams_of([[(0, t) for t in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)],
+                                 [(0, t) for t in (0.1, 0.2, 0.3, 0.32, 0.36, 0.45)]], 1)
+    uniforms = np.zeros(times.shape)
+    carry = np.full(2, np.inf)
+    clicks, offsets, gaps, segments = _walked(DT.efficiency, times, uniforms, counts, carry, 0)
+    assert segments == 2
+    assert clicks.tolist() == [[6], [5]]
+    assert offsets.tolist() == [[1.0 - 0.6], [1.0 - 0.45]]
+    ref_clicks, ref_offsets, ref_gaps = _scalar_walk(DT.efficiency, 1.0, times, uniforms,
+                                                     counts, carry, 0)
+    assert np.array_equal(clicks, ref_clicks) and np.array_equal(offsets, ref_offsets)
+    assert np.array_equal(gaps, ref_gaps) and 0.36 - 0.3 in gaps
 
 
 def test_segmented_walk_without_coalescing(monkeypatch):

@@ -66,6 +66,32 @@ def test_tail_correction_improves_plateau(exp_gaps):
     assert abs(est_fix.mean() - 1.0) < 0.02
 
 
+def test_rate_tail_correction():
+    # 10 bins of 0.1; 12 samples, two of them past the horizon
+    samples = [0.01, 0.12, 0.13, 0.14, 0.31, 0.55, 0.72, 0.81, 0.83, 0.97, 1.5, 3.0]
+    counts = np.array([1, 3, 0, 1, 0, 1, 0, 1, 2, 1])
+    centers = np.arange(10) * 0.1 + 0.05
+    density = counts / (12 * 0.1)
+    res = reconstruct_details(samples, ReconstructionSpec(
+        bin_width=0.1, t_max=1.0, lambda_hint=1.5, tail_correction="rate"))
+    xi = np.array([v for _, v in res.profile.table])
+    assert np.allclose(res.centers, centers, rtol=0, atol=1e-15)
+    assert np.array_equal(res.density, density)
+    assert res.lambda_hat == 1.5
+    expected = np.clip(density * np.exp(1.5 * centers) / 1.5, 0.0, 1.0)
+    assert np.allclose(xi, expected, rtol=1e-14, atol=0)
+    assert xi[0] == pytest.approx(math.exp(0.075) / 1.8) and xi[1] == 1.0
+    # without a hint lambda is read off the plateau, then again off the corrected one
+    res = reconstruct_details(samples, ReconstructionSpec(
+        bin_width=0.1, t_max=1.0, tail_correction="rate"))
+    first = density[-2:].mean()
+    corrected = density * np.exp(first * centers)
+    assert res.lambda_hat == pytest.approx(corrected[-2:].mean(), rel=1e-14)
+    assert res.lambda_hat > first
+    assert np.allclose([v for _, v in res.profile.table],
+                       np.clip(corrected / res.lambda_hat, 0.0, 1.0), rtol=1e-14, atol=0)
+
+
 def test_rescaling_invariance(exp_gaps):
     base = reconstruct_details(exp_gaps[:200_000], ReconstructionSpec(
         bin_width=0.02, t_max=1.6))
