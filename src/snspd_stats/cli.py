@@ -88,7 +88,12 @@ def _resolve(args: argparse.Namespace) -> dict:
     resolved = dict(_DEFAULTS)
     if getattr(args, "config_file", None):
         with open(args.config_file) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"{args.config_file}: not valid JSON ({exc})") from None
+        if not isinstance(file_cfg, dict):
+            raise DomainError(f"{args.config_file}: needs a JSON object of flag values")
         unknown = set(file_cfg) - set(_DEFAULTS)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
@@ -227,7 +232,11 @@ def _cmd_simulate(args) -> int:
     state = StateSpec.parse(r["state"])
     carry = r["carry"]
     if carry.startswith("fixed:"):
-        mode, tau = "fixed_tau", float(carry.split(":", 1)[1]) * _time_scale(r)
+        try:
+            tau = float(carry.split(":", 1)[1]) * _time_scale(r)
+        except ValueError:
+            raise DomainError(f"carry fixed:TAU needs a number, got {carry!r}") from None
+        mode = "fixed_tau"
     elif carry in ("fresh", "contiguous"):
         mode, tau = carry, 0.0
     else:
@@ -369,7 +378,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:  # OSError: a file named on the command line
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, ConsistencyError, EstimationError) as exc:

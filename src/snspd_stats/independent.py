@@ -18,8 +18,10 @@ state (or, on the coherent route, to the effective mean), which leaves the
 conditional matrix unchanged.
 
 The dead-time-only detector admits closed forms built from binomial
-weights with the adjusting efficiencies (tau_m - k*tau_d)/tau_m; they are
-used both as a fast path and as an independent check on the quadrature.
+weights with the adjusting efficiencies (tau_m - k*tau_d)/tau_m.
+``cond_prob_matrix`` never calls them: they give the figures' shifted
+dead-time model and ``matrix --closed-form``, and they are the independent
+check on the renewal and quadrature rows.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .detector import DetectorConfig
 from .errors import ConsistencyError, DomainError
 from .quadrature import QuadratureSpec
 from .results import ClickDistribution, ConditionalMatrix
-from .states import PhotonNumberDist, squeezed_density_from_weights
+from .states import PhotonNumberDist, check_squeezing, squeezed_density_from_weights
 from .weights import _free_times, carry_average, no_count_exposure, window_integral
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -438,6 +440,7 @@ def squeezed_distribution_direct(config: DetectorConfig, r: float,
     each click number, using the detector's eta and nu.  Serves as the
     independent counterpart of the number-basis route.
     """
+    check_squeezing(r)
     probs = np.zeros(n_max + 1)
     probs[0] = squeezed_density_from_weights(
         np.array([1.0]), np.array([1.0]), 0, r, eta=config.eta, nu=config.nu)[0]

@@ -11,10 +11,10 @@ efficiency eta and dark-count intensity nu:
   efficiency), likewise dark-convolved,
 * custom: an explicit distribution, loss-thinned and dark-convolved.
 
-The squeezed-vacuum expressions pair i^n prefactors with imaginary
-Legendre arguments so that the composite values are real.  They are
-evaluated with the three-term recurrence in complex arithmetic and
-projected onto the real axis with an asserted residual bound.
+The squeezed-vacuum expressions pair i^k with P_k(iy), y <= 0.  Since
+i^k P_k(iy) = R_k(-y), with R_{k+1} = ((2k+1) u R_k + k R_{k-1}) / (k+1),
+both are evaluated in real arithmetic, by one scaled recurrence whose
+terms are all nonnegative.
 
 The module also evaluates the unnormalized click-time density of a
 squeezed vacuum directly from the pulse weights; integrating it over the
@@ -36,7 +36,15 @@ from .weights import pulse_weights
 
 _TAIL_BOUND = 1e-8
 _M_CAP = 64
-_IMAG_TOL = 1e-10
+
+
+def check_squeezing(r: float) -> None:
+    """Reject a squeezing r unless it is nonnegative with a finite mean number sinh(r)^2."""
+    with np.errstate(over="ignore"):
+        mean = np.sinh(r) ** 2
+    if not (r >= 0 and np.isfinite(mean)):
+        raise DomainError("squeezing parameter must be nonnegative, "
+                          "with a finite mean number sinh(r)^2")
 
 
 @dataclass(frozen=True)
@@ -58,8 +66,8 @@ class StateSpec:
             raise DomainError("coherent amplitude must be finite, with a finite mean number")
         if self.kind == "fock" and self.k < 0:
             raise DomainError("Fock number must be nonnegative")
-        if self.kind == "squeezed_vacuum" and not (math.isfinite(self.r) and self.r >= 0):
-            raise DomainError("squeezing parameter must be finite and nonnegative")
+        if self.kind == "squeezed_vacuum":
+            check_squeezing(self.r)
         if self.kind == "custom":
             if not self.probs:
                 raise DomainError("custom state needs explicit probabilities")
@@ -93,12 +101,15 @@ class StateSpec:
         """Parse CLI shorthand like ``coherent:2`` or ``squeezed:1.5``."""
         name, _, arg = text.partition(":")
         name = name.strip().lower()
-        if name == "coherent":
-            return cls.coherent(float(arg))
-        if name == "fock":
-            return cls.fock(int(arg))
-        if name in ("squeezed", "squeezed_vacuum"):
-            return cls.squeezed(float(arg))
+        try:
+            if name == "coherent":
+                return cls.coherent(float(arg))
+            if name == "fock":
+                return cls.fock(int(arg))
+            if name in ("squeezed", "squeezed_vacuum"):
+                return cls.squeezed(float(arg))
+        except ValueError as exc:  # DomainError included
+            raise DomainError(f"cannot parse state {text!r}: {exc}") from None
         if name == "vacuum":
             return cls.fock(0)
         raise DomainError(f"cannot parse state {text!r}")
@@ -150,6 +161,8 @@ class PhotonNumberDist:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
+        if not np.all(np.isfinite(p)):
+            raise ConsistencyError("photon-number probability is not finite")
         if np.any(p < -1e-12):
             raise ConsistencyError("negative photon-number probability")
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
@@ -162,42 +175,29 @@ class PhotonNumberDist:
         return float(np.arange(len(self.probs)) @ self.probs)
 
 
-def _legendre_imag_sequence(n_max: int, y: float) -> np.ndarray:
-    """P_k(i*y) for k = 0..n_max at a scalar y, complex recurrence."""
-    x = 1j * y
-    out = np.empty(n_max + 1, dtype=complex)
+def _scaled_legendre(n_max: int, u, rho) -> np.ndarray:
+    """rho^k R_k(u) = rho^k i^k P_k(-iu) for k = 0..n_max along a new first axis.
+
+    With u, rho >= 0 every step adds nonnegative terms, so nothing cancels.
+    """
+    out = np.empty((n_max + 1,) + np.shape(u))
     out[0] = 1.0
     if n_max >= 1:
-        out[1] = x
+        out[1] = rho * u
     for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
+        out[k + 1] = rho * ((2 * k + 1) * u * out[k] + k * rho * out[k - 1]) / (k + 1)
     return out
-
-
-def _project_real(values: np.ndarray, where: str):
-    res = np.max(np.abs(np.imag(values))) if np.size(values) else 0.0
-    scale = max(1.0, float(np.max(np.abs(values)))) if np.size(values) else 1.0
-    if res > _IMAG_TOL * scale:
-        raise ConsistencyError(f"imaginary residual {res:.3e} in {where}")
-    return np.real(values)
 
 
 def _squeezed_number_probs(r: float, eta: float, m_max: int) -> np.ndarray:
     # Closed form from differentiating the squeezed no-click generating
     # function n times at the loss point; it agrees with the binomial loss
     # channel applied to the exact even-number expansion to machine
-    # precision, which the tests assert.
+    # precision, which the tests assert.  rho <= 1 and rho^m R_m(u) is a
+    # probability times root, so no factor overflows.
     s = math.sinh(r)
-    denom = 1.0 + (2.0 - eta) * eta * s * s
-    leg = _legendre_imag_sequence(m_max, s * (eta - 1.0) / math.sqrt(denom))
-    n = np.arange(m_max + 1)
-    vals = (1j * eta * s) ** n / denom ** ((n + 1) / 2.0) * leg
-    probs = _project_real(vals, "squeezed photon-number distribution")
-    if np.any(probs < -1e-12):
-        raise ConsistencyError(
-            "squeezed photon-number formula produced a negative probability; "
-            "higher working precision is required at these parameters")
-    return np.clip(probs, 0.0, None)
+    root = math.sqrt(1.0 + (2.0 - eta) * eta * s * s)
+    return _scaled_legendre(m_max, s * (1.0 - eta) / root, eta * s / root) / root
 
 
 def _poisson_pmf(m_max: int, mean: float) -> np.ndarray:
@@ -297,7 +297,8 @@ def squeezed_density_from_weights(density, exposure, n: int, r: float,
     at unit efficiency, where D and X are the weight pair.  A nonunit eta
     rescales the exposure inside S and the argument (X -> eta*X) and
     contributes eta^n; a dark intensity nu adds the binomial mixture of
-    lower-order derivatives together with an exp(-nu*X) factor.
+    lower-order derivatives together with an exp(-nu*X) factor.  With
+    i^k P_k(iy) = R_k(-y) every term is (s/S)^k R_k(s (1 - eta X) / S) >= 0.
     """
     density = np.asarray(density, dtype=float)
     exposure = np.asarray(exposure, dtype=float)
@@ -307,21 +308,11 @@ def squeezed_density_from_weights(density, exposure, n: int, r: float,
     if np.any(rad <= 0):
         raise ConsistencyError("squeezed density radicand is not positive (exposure > 2?)")
     S = np.sqrt(rad)
-    x = 1j * s * (c - 1.0) / S
-
-    total = np.zeros(density.shape, dtype=complex)
-    p_prev = np.zeros_like(x)
-    p_k = np.ones_like(x)  # P_0
-    for k in range(n + 1):
-        coeff = math.comb(n, k) * nu ** (n - k) * eta**k * math.factorial(k) * s**k
-        if coeff != 0.0:
-            total = total + coeff * (1j ** k) * p_k / S ** (k + 1)
-        if k < n:
-            p_next = ((2 * k + 1) * x * p_k - k * p_prev) / (k + 1)
-            p_prev, p_k = p_k, p_next
-    vals = _project_real(total, "squeezed click density")
-    out = density * np.exp(-nu * exposure) * vals
-    return np.clip(out, 0.0, None)
+    # an exposure above 1 by round-off would turn terms negative
+    terms = _scaled_legendre(n, s * np.maximum(1.0 - c, 0.0) / S, s / S)
+    coeffs = [math.comb(n, k) * nu ** (n - k) * eta**k * math.factorial(k)
+              for k in range(n + 1)]
+    return density * np.exp(-nu * exposure) * np.tensordot(coeffs, terms, axes=1) / S
 
 
 def squeezed_click_density(config: DetectorConfig, times, r: float) -> float:
@@ -330,8 +321,7 @@ def squeezed_click_density(config: DetectorConfig, times, r: float) -> float:
     Uses the detector's eta and nu.  The zero-click value is the full-window
     no-click weight (exposure 1), giving 1/cosh(r) at unit efficiency.
     """
-    if r < 0:
-        raise DomainError("squeezing parameter must be nonnegative")
+    check_squeezing(r)
     w = pulse_weights(config, times)
     n = len(times.times) if hasattr(times, "times") else len(times)
     out = squeezed_density_from_weights(

@@ -119,6 +119,20 @@ def test_figure_three_structure(tmp_path, capsys):
     assert open(gp).read().startswith("set style data histograms")
 
 
+def test_figure_three_csv(capsys):
+    code, out = run(capsys, ["figure", "3", *FAST, "--format", "csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "figure,dataset,model,n,prob"
+    rows = [line.split(",") for line in lines[1:]]
+    assert {row[0] for row in rows} == {"3"}
+    assert {row[2] for row in rows} == {"pnr", "shifted_deadtime", "relaxation",
+                                        "continuous_wave"}
+    pnr = [row for row in rows if row[1] == "coherent_alpha0=2" and row[2] == "pnr"]
+    assert [int(row[3]) for row in pnr] == list(range(len(pnr)))
+    assert sum(float(row[4]) for row in pnr) == pytest.approx(1.0, abs=1e-7)
+
+
 def test_figure_rejects_unknown_number(capsys):
     code, _ = run(capsys, ["figure", "7"])
     assert code == 2
@@ -164,6 +178,34 @@ def test_usage_errors(tmp_path):
     for flags in (["--bin-width", "nan"], ["--t-max", "inf"], ["--rate-hint", "nan"],
                   ["--min-preceding-gap", "nan"]):
         assert main(["reconstruct", "--gaps", str(gaps), *flags]) == 2
+    # malformed numbers inside a flag's text
+    assert main(["simulate", "--carry", "fixed:abc", "--trials", "10"]) == 2
+    for state in ("coherent:abc", "coherent:", "fock:abc", "fock:2.5", "squeezed:400"):
+        assert main(["dist", "--state", state]) == 2
+    # a cutoff that cannot hold the state's mass is refused, not printed as NaN
+    assert main(["dist", "--state", "squeezed:300", "--profile", "deadtime"]) == 2
+    # malformed and missing files
+    for text in ("{bad", '["tau_m"]'):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["dist", "--config", str(cfg)]) == 2
+    missing = str(tmp_path / "missing")
+    assert main(["dist", "--config", missing + ".json"]) == 2
+    assert main(["dist", "--profile", f"tabulated:{missing}.csv"]) == 2
+    assert main(["reconstruct", "--gaps", missing + ".f64"]) == 2
+    assert main(["dist", "--state", "fock:1", "--out", str(tmp_path / "no-dir" / "x.json")]) == 2
+
+
+def test_numerical_failure_exits_1(monkeypatch, capsys):
+    from snspd_stats import cli
+    from snspd_stats.errors import IntegrationError
+
+    def fail(args):
+        raise IntegrationError("no trustworthy value")
+
+    monkeypatch.setattr(cli, "_cmd_dist", fail)
+    assert main(["dist"]) == 1
+    assert "numerical failure: no trustworthy value" in capsys.readouterr().err
 
 
 def test_time_units(capsys):

@@ -176,6 +176,17 @@ class TestMemoryProbability:
             memory_probability_q(exp_kernels, [one, one],
                                  CwConfig(delta=0.3, window_count=5))
 
+    def test_geometric_limit_needs_one_state(self, exp_kernels):
+        one = photon_number_dist(StateSpec.fock(1), eta=1.0, nu=0.0)
+        cw = CwConfig(delta=0.3, window_count=5, memory_depth="geometric_limit")
+        with pytest.raises(DomainError, match="single i.i.d. state"):
+            memory_probability_q(exp_kernels, [one, one], cw)
+
+    def test_state_beyond_the_kernels_is_refused(self, exp_kernels):
+        eight = photon_number_dist(StateSpec.fock(8), eta=1.0, nu=0.0)
+        with pytest.raises(DomainError, match="exceeds the kernel range"):
+            memory_probability_q(exp_kernels, [eight], CW)
+
 
 class TestCwDistribution:
     def test_ideal_reduces_to_independent(self):
@@ -197,6 +208,14 @@ class TestCwDistribution:
         out = click_distribution_cw(dist, EXP, CW, SPEC, kernels=exp_kernels, matrix=P)
         assert out.total() + dist.tail == pytest.approx(1.0, abs=1e-4)
         assert 0.0 <= out.meta["q"] <= 1.0
+
+    def test_precomputed_tables_must_cover_the_state(self, exp_kernels):
+        eight = photon_number_dist(StateSpec.fock(8), eta=1.0, nu=0.0)
+        P6 = cond_prob_matrix(EXP, m_max=6, spec=SPEC)
+        P8 = cond_prob_matrix(EXP, m_max=8, spec=SPEC)
+        for kernels, matrix in ((exp_kernels, P8), (None, P6)):
+            with pytest.raises(DomainError, match="do not cover the state's m_max"):
+                click_distribution_cw(eight, EXP, CW, SPEC, kernels=kernels, matrix=matrix)
 
     def test_window_dependence_decays(self, exp_kernels):
         dist = photon_number_dist(StateSpec.fock(3), eta=0.9, nu=0.0)

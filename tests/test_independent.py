@@ -276,6 +276,11 @@ class TestSqueezedDirectRoute:
         fock = click_distribution_independent(dist, EXP, other)
         assert np.max(np.abs(direct - fock.probs[:4])) < 1e-6
 
+    @pytest.mark.parametrize("r", [math.nan, -0.5, 800.0])
+    def test_bad_squeezing_is_rejected(self, r):
+        with pytest.raises(DomainError, match="squeezing parameter"):
+            squeezed_distribution_direct(EXP, r, n_max=2, spec=SPEC)
+
 
 class TestPickRows:
     # a synthetic renewal table: row 1 passes its tolerance, row 2 misses it

@@ -7,6 +7,7 @@ from scipy.stats import binom, poisson
 from snspd_stats import (ConsistencyError, DetectorConfig, DomainError,
                          EfficiencyProfile, PhotonNumberDist, StateSpec,
                          photon_number_dist, squeezed_click_density)
+from snspd_stats.states import _scaled_legendre, squeezed_density_from_weights
 
 SQUEEZED_P0_R15 = 0.4250960349422805  # 1/cosh(1.5)
 
@@ -137,12 +138,50 @@ class TestSqueezed:
         assert d.m_max == 64  # cap reached; tail stays explicit
         assert d.tail > 0
 
-    @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5])
+    # at 400 and 800 sinh(r)^2 overflows a float: the mean photon number is not finite
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5, 400.0, 800.0])
     def test_bad_squeezing_is_rejected(self, r):
         with pytest.raises(DomainError):
             StateSpec.squeezed(r)
         with pytest.raises(DomainError):
             StateSpec.parse(f"squeezed:{r}")
+
+    def test_largest_squeezing_still_builds(self):
+        d = photon_number_dist(StateSpec.squeezed(355.0), eta=1.0, nu=0.0, m_max=8)
+        assert np.all(np.isfinite(d.probs)) and d.tail == pytest.approx(1.0)
+
+    def test_long_cutoff_is_the_even_expansion(self):
+        # P_2k = (2k)! / (2^k k!)^2 tanh^2k(r) / cosh(r), far past where a
+        # separate power and denominator would overflow
+        r = 3.0
+        d = photon_number_dist(StateSpec.squeezed(r), eta=1.0, nu=0.0, m_max=512)
+        k = np.arange(257)
+        from scipy.special import gammaln
+        even = np.exp(gammaln(2 * k + 1) - 2 * gammaln(k + 1) - 2 * k * math.log(2.0)
+                      + 2 * k * math.log(math.tanh(r)) - math.log(math.cosh(r)))
+        np.testing.assert_allclose(d.probs[::2], even, rtol=1e-12, atol=0.0)
+        assert np.all(d.probs[1::2] == 0.0)
+        assert d.probs.sum() + d.tail == pytest.approx(1.0, abs=1e-12)
+        assert d.tail == pytest.approx(0.0240, abs=1e-4)
+
+    def test_strong_squeezing_keeps_its_tail(self):
+        d = photon_number_dist(StateSpec.squeezed(12.0), eta=1.0, nu=0.0)
+        assert d.m_max == 64 and np.all(np.isfinite(d.probs))
+        assert d.tail > 0.999
+
+    @pytest.mark.parametrize("r, eta", [(0.5, 0.4), (2.7, 0.1), (3.0, 0.55)])
+    def test_long_cutoff_with_loss_matches_high_precision(self, r, eta):
+        # the closed form at 60 digits, where the values span hundreds of decades
+        mp = pytest.importorskip("mpmath")
+        d = photon_number_dist(StateSpec.squeezed(r), eta=eta, nu=0.0, m_max=511)
+        with mp.workdps(60):
+            s, e = mp.sinh(mp.mpf(r)), mp.mpf(eta)
+            big_d = 1 + (2 - e) * e * s * s
+            y = s * (e - 1) / mp.sqrt(big_d)
+            for m in (1, 40, 123, 300, 444, 490, 511):
+                ref = mp.re((1j * e * s) ** m / big_d ** (mp.mpf(m + 1) / 2)
+                            * mp.legendre(m, 1j * y))
+                assert d.probs[m] == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
 class TestCustom:
@@ -178,6 +217,12 @@ class TestStateSpecParsing:
         with pytest.raises(DomainError):
             StateSpec.parse("thermal:1")
 
+    @pytest.mark.parametrize("text", ["coherent:abc", "coherent:", "fock:abc", "fock:2.5",
+                                      "squeezed:", "squeezed:x"])
+    def test_malformed_number_is_a_domain_error(self, text):
+        with pytest.raises(DomainError, match="cannot parse state"):
+            StateSpec.parse(text)
+
     def test_json_round_trip(self):
         spec = StateSpec.from_json_dict({"kind": "squeezed_vacuum", "r": 1.5, "eta": 0.8})
         assert spec.r == 1.5 and spec.eta == 0.8
@@ -192,6 +237,11 @@ class TestSqueezedClickDensity:
     def test_zero_clicks_is_vacuum_weight(self):
         val = squeezed_click_density(self.cfg, (), 1.5)
         assert val == pytest.approx(SQUEEZED_P0_R15, abs=1e-14)
+
+    @pytest.mark.parametrize("r", [math.nan, -0.5, 400.0, 800.0])
+    def test_bad_squeezing_is_rejected(self, r):
+        with pytest.raises(DomainError, match="squeezing parameter"):
+            squeezed_click_density(self.cfg, (0.3,), r)
 
     def test_no_squeezing_no_clicks(self):
         assert squeezed_click_density(self.cfg, (0.3,), 0.0) == 0.0
@@ -215,3 +265,26 @@ class TestSqueezedClickDensity:
     def test_negative_probability_guard(self):
         with pytest.raises(ConsistencyError):
             PhotonNumberDist(probs=np.array([0.5, -1e-3]), tail=0.0, eta=1.0, nu=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_guard(self, bad):
+        with pytest.raises(ConsistencyError, match="not finite"):
+            PhotonNumberDist(probs=np.array([0.5, bad]), tail=0.0, eta=1.0, nu=0.0)
+
+    @pytest.mark.parametrize("n, nu", [(1, 0.0), (3, 0.0), (2, 0.4)])
+    def test_exposure_past_one_by_round_off(self, n, nu):
+        # eta*X = 1 zeroes the Legendre argument; just past it no term turns negative
+        at_one = squeezed_density_from_weights(np.array([2.0]), np.array([1.0]), n, 1.5,
+                                               nu=nu)
+        past = squeezed_density_from_weights(np.array([2.0]), np.array([1.0 + 4e-16]), n,
+                                             1.5, nu=nu)
+        assert past[0] >= 0.0 and past[0] == pytest.approx(at_one[0], rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("u, rho", [(0.0, 1.0), (0.7, 0.3), (2.5, 1.2)])
+    def test_scaled_recurrence_is_the_imaginary_legendre(self, u, rho):
+        from scipy.special import eval_legendre
+        k = np.arange(12)
+        ref = rho**k * np.real(1j**k * eval_legendre(k, -1j * u))
+        np.testing.assert_allclose(_scaled_legendre(11, u, rho), ref, rtol=1e-13, atol=1e-15)
+        grid = _scaled_legendre(11, np.full((2, 3), u), np.full((2, 3), rho))
+        assert grid.shape == (12, 2, 3) and np.allclose(grid[:, 1, 2], ref, rtol=1e-13)

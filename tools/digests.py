@@ -26,7 +26,9 @@ from this checkout's ``src``.  With ``--against`` the same outputs are
 also computed on the other checkout, in a subprocess that imports it
 through ``PYTHONPATH``.  Each line then reads the other checkout's digest,
 this one's, how many entries moved, the largest absolute move and the
-largest relative move (against the larger magnitude of the pair).
+largest relative move (against the larger magnitude of the pair).  A NaN
+on both sides counts as unmoved and a NaN on one side as moved; the
+largest moves are read over the entries finite on both sides.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile,  # noqa: E
                          click_distribution_independent, coherent_click_probability,
                          coherent_click_probability_after_gap, cond_prob_matrix,
                          empirical_distribution, last_click_density, photon_number_dist,
-                         regular_irregular_split, simulate_interpulse_gaps)
+                         regular_irregular_split, simulate_interpulse_gaps,
+                         squeezed_distribution_direct)
 from snspd_stats.continuous import last_click_density_fock, memory_kernels  # noqa: E402
 try:
     from snspd_stats.figures import figure_payload  # noqa: E402
@@ -170,6 +173,13 @@ OUTPUTS = {
     "kernels exp m_max 11 (a|b|c|D), the cw workload's": lambda: _kernels(EXP, 11),
     "kernels exp m_max 34 (a|b|c|D), a tilted carried chain read at two spans":
         lambda: _kernels(EXP, 34),
+    "photon_number_dist squeezed r 3 eta 1 m_max 512":
+        lambda: photon_number_dist(StateSpec.squeezed(3.0), eta=1.0, nu=0.0, m_max=512).probs,
+    "photon_number_dist squeezed r 12 eta 1, default cutoff":
+        lambda: photon_number_dist(StateSpec.squeezed(12.0), eta=1.0, nu=0.0).probs,
+    "squeezed_distribution_direct exp eta 0.8 r 1.5 n 0-3 nested_gauss, the density route":
+        lambda: squeezed_distribution_direct(replace(EXP, eta=0.8), 1.5, n_max=3,
+                                             spec=replace(SPEC, method="nested_gauss")),
     "independent exp squeezed r 1 eta 0.9 m_max 56, validate's number-basis route":
         lambda: click_distribution_independent(
             photon_number_dist(StateSpec.squeezed(1.0), eta=0.9, nu=0.0), EXP, SPEC).probs,
@@ -247,9 +257,11 @@ def _moves(ours: np.ndarray, theirs: np.ndarray) -> str:
     if ours.shape != theirs.shape:
         return f"shape {theirs.shape} -> {ours.shape}"
     a, b = ours.astype(float), theirs.astype(float)
-    diff, scale = np.abs(a - b), np.maximum(np.abs(a), np.abs(b))
+    moved = (a != b) & ~(np.isnan(a) & np.isnan(b))
+    finite = np.isfinite(a) & np.isfinite(b)
+    diff, scale = np.abs(a - b)[finite], np.maximum(np.abs(a), np.abs(b))[finite]
     rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
-    return (f"moved {np.count_nonzero(diff)}/{diff.size}  "
+    return (f"moved {np.count_nonzero(moved)}/{a.size}  "
             f"abs {diff.max(initial=0.0):.2g}  rel {rel.max(initial=0.0):.2g}")
 
 
