@@ -14,10 +14,10 @@ import json
 
 import numpy as np
 
-from .continuous import CwConfig, click_distribution_cw
+from .continuous import CwConfig, click_distribution_cw, memory_kernels
 from .detector import DetectorConfig, EfficiencyProfile
-from .independent import (click_distribution_independent, deadtime_closed_form,
-                          squeezed_distribution_direct)
+from .independent import (click_distribution_independent, cond_prob_matrix,
+                          deadtime_closed_form, squeezed_distribution_direct)
 from .quadrature import QuadratureSpec
 from .states import StateSpec, photon_number_dist
 
@@ -41,14 +41,18 @@ def _dist_within_tail(state: StateSpec, eta: float):
 
 
 def figure_payload(fig: int, spec: QuadratureSpec, tau_m: float = 1.0) -> dict:
-    """Distributions of the four detector models behind one example figure."""
+    """Distributions of the four detector models behind one example figure.
+
+    The memory model's matrix and kernels are computed once per photon
+    cutoff and shared by the datasets that reach it.
+    """
     td, tr, delta, l_win = 0.05 * tau_m, 0.2 * tau_m, 0.3 * tau_m, 3
     exp_cfg = DetectorConfig(tau_m=tau_m,
                              efficiency=EfficiencyProfile.exponential(td, tr))
     shift_cfg = DetectorConfig(tau_m=tau_m,
                                efficiency=EfficiencyProfile.dead_time(td + tr))
     cw = CwConfig(delta=delta, window_count=l_win)
-    datasets = {}
+    datasets, tables = {}, {}
     for label, state, eta in _figure_states(fig):
         dist = _dist_within_tail(state, eta)
         pnr = dist.probs
@@ -65,7 +69,12 @@ def figure_payload(fig: int, spec: QuadratureSpec, tau_m: float = 1.0) -> dict:
                                                  n_max=n_top, spec=spec)
         else:
             relax = click_distribution_independent(dist, exp_cfg, spec).probs
-        cw_probs = click_distribution_cw(dist, exp_cfg, cw, spec).probs
+        if dist.m_max not in tables:
+            tables[dist.m_max] = (cond_prob_matrix(exp_cfg, m_max=dist.m_max, spec=spec),
+                                  memory_kernels(exp_cfg, cw, m_max=dist.m_max, spec=spec))
+        matrix, kernels = tables[dist.m_max]
+        cw_probs = click_distribution_cw(dist, exp_cfg, cw, spec, kernels=kernels,
+                                         matrix=matrix).probs
         n_len = max(len(pnr), len(shifted), len(relax), len(cw_probs))
         pad = lambda a: np.pad(np.asarray(a, dtype=float), (0, n_len - len(a)))
         datasets[label] = {

@@ -17,6 +17,16 @@ rate; realistic eta and nu belong to the photon-number distribution of the
 state (or, on the coherent route, to the effective mean), which leaves the
 conditional matrix unchanged.
 
+A click distribution goes through the number basis only when it must.
+Summed over a Poisson distribution of mean a, the photon-number factors
+of P(n|m) collapse to a^n e^(-a * exposure), so the click distribution of
+a coherent state is its coherent rows at a (``coherent_rows``), exact in
+the photon number: ``click_distribution_independent`` takes that route
+whenever the state records its ``poisson_mean``, and drops only the
+clicks past m_max, none when m_max reaches the click cap.  Fock, squeezed
+and custom states contract ``cond_prob_matrix`` with their truncated
+distribution.
+
 The dead-time-only detector admits closed forms built from binomial
 weights with the adjusting efficiencies (tau_m - k*tau_d)/tau_m.
 ``cond_prob_matrix`` never calls them: they give the figures' shifted
@@ -398,37 +408,76 @@ def same_count_probability(config: DetectorConfig, n: int) -> float:
 
 
 def _required_m_max(state: PhotonNumberDist, bound: float) -> int:
-    p = state.probs
-    if len(p) >= 2 and p[-2] > 0 and 0 < p[-1] < p[-2]:
-        ratio = p[-1] / p[-2]
-        extra = math.log(bound * (1 - ratio) / max(state.tail, 1e-300)) / math.log(ratio)
-        return state.m_max + max(1, int(math.ceil(extra)))
+    """Cutoff at which the state's tail should fall to ``bound``.
+
+    The tail is extrapolated as geometric from the last two positive
+    entries, per index step: a lossless squeezed vacuum populates only
+    even numbers, so these may be two steps apart.
+    """
+    positive = np.nonzero(state.probs > 0)[0][-2:]
+    if len(positive) == 2:
+        i, j = positive
+        ratio = (state.probs[j] / state.probs[i]) ** (1.0 / (j - i))
+        if ratio < 1:
+            extra = math.log(bound * (1 - ratio) / max(state.tail, 1e-300)) / math.log(ratio)
+            return state.m_max + max(1, int(math.ceil(extra)))
     return 2 * max(state.m_max, 1)
 
 
 def click_distribution_independent(state: PhotonNumberDist, config: DetectorConfig,
                                    spec: QuadratureSpec = DEFAULT_SPEC,
                                    ) -> ClickDistribution:
-    """Click-number distribution of ``state`` over independent windows."""
-    if state.tail > 1e-8:
+    """Click-number distribution of ``state`` over independent windows.
+
+    Three routes, recorded in ``meta["route"]``:
+
+    * ``pnr``: an ideal profile gives the photon-number distribution itself.
+    * ``coherent``: a coherent state (``state.poisson_mean`` set) skips the
+      number basis.  Row 0 is e^(-a) at the Poisson mean a, and rows
+      1..top, top = min(click cap, m_max), come from one fixed-mean chain
+      (``coherent_rows``), summed over every photon number.
+    * ``number_basis``: every other state contracts ``cond_prob_matrix``
+      with its truncated distribution.
+
+    The number basis drops the photons past m_max, so a state whose tail
+    exceeds 1e-8 is refused.  The coherent route drops only the clicks past
+    top, at most that tail, and is refused likewise; when top is the click
+    cap its rows cover every click number, the result is exact in the
+    photon number and the tail does not apply.  ``meta`` also records the
+    rows' ``engines``, ``renewal_err`` and ``quad_err``.
+    """
+    meta = {"eta": state.eta, "nu": state.nu, "state": state.label, "seed": spec.seed}
+    cap = config.max_clicks()
+    top = state.m_max if cap is None else min(cap, state.m_max)
+    coherent = config.efficiency.kind != "ideal" and state.poisson_mean is not None
+    exact = coherent and top == cap
+    if state.tail > 1e-8 and not exact:
         raise DomainError(
             f"state tail mass {state.tail:.2e} exceeds 1e-8; "
             f"increase m_max to about {_required_m_max(state, 1e-8)}")
-    meta = {"eta": state.eta, "nu": state.nu, "state": state.label,
-            "seed": spec.seed}
     if config.efficiency.kind == "ideal":
         return ClickDistribution(probs=state.probs.copy(),
                                  scenario="independent:pnr",
-                                 config=config.to_json_dict(), meta=meta)
-    matrix = cond_prob_matrix(config, m_max=state.m_max, spec=spec)
-    probs = matrix.entries @ state.probs
-    total = float(probs.sum()) + state.tail
+                                 config=config.to_json_dict(), meta={**meta, "route": "pnr"})
+    if coherent:
+        a = state.poisson_mean
+        values, rows = [], {"engines": [], "renewal_err": None, "quad_err": None}
+        if top >= 1:
+            (values, rows), = coherent_rows(config, range(1, top + 1), a, spec, [None])
+        probs = np.concatenate([[math.exp(-a)], values])
+        provenance = {"route": "coherent", **rows, "engines": ["closed_form"] + rows["engines"]}
+    else:
+        matrix = cond_prob_matrix(config, m_max=state.m_max, spec=spec)
+        probs = matrix.entries @ state.probs
+        provenance = {"route": "number_basis",
+                      **{k: matrix.meta[k] for k in ("engines", "renewal_err", "quad_err")}}
+    total = float(probs.sum()) + (0.0 if exact else state.tail)
     if abs(total - 1.0) > 1e-3:
         raise ConsistencyError(
             f"click distribution sums to {total:.6f}; component sums "
             f"{[float(x) for x in probs[:5]]}...")
     return ClickDistribution(probs=probs, scenario="independent",
-                             config=config.to_json_dict(), meta=meta)
+                             config=config.to_json_dict(), meta={**meta, **provenance})
 
 
 def squeezed_distribution_direct(config: DetectorConfig, r: float,

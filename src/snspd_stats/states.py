@@ -64,8 +64,12 @@ class StateSpec:
             raise DomainError(f"unknown state kind {self.kind!r}")
         if self.kind == "coherent" and not math.isfinite(self.alpha0 * self.alpha0):
             raise DomainError("coherent amplitude must be finite, with a finite mean number")
-        if self.kind == "fock" and self.k < 0:
-            raise DomainError("Fock number must be nonnegative")
+        if self.kind == "fock":
+            if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
+                raise DomainError(f"Fock number must be an integer, got {self.k!r}")
+            if self.k < 0:
+                raise DomainError("Fock number must be nonnegative")
+            object.__setattr__(self, "k", int(self.k))
         if self.kind == "squeezed_vacuum":
             check_squeezing(self.r)
         if self.kind == "custom":
@@ -86,7 +90,7 @@ class StateSpec:
 
     @classmethod
     def fock(cls, k: int) -> "StateSpec":
-        return cls(kind="fock", k=int(k))
+        return cls(kind="fock", k=k)
 
     @classmethod
     def squeezed(cls, r: float) -> "StateSpec":
@@ -151,13 +155,19 @@ class StateSpec:
 
 @dataclass(frozen=True)
 class PhotonNumberDist:
-    """Truncated photon-number distribution with an explicit tail bound."""
+    """Truncated photon-number distribution with an explicit tail bound.
+
+    ``poisson_mean`` is the mean of a coherent state's Poisson distribution,
+    eta*|alpha0|^2 + nu, and None for every other state; it lets a click
+    distribution skip the number basis.
+    """
 
     probs: np.ndarray
     tail: float
     eta: float
     nu: float
     label: str = ""
+    poisson_mean: Optional[float] = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -260,8 +270,10 @@ def photon_number_dist(state: StateSpec, eta: Optional[float] = None,
     elif not isinstance(m_max, (int, np.integer)) or isinstance(m_max, bool) or m_max < 0:
         raise DomainError(f"m_max must be a nonnegative integer, got {m_max!r}")
 
+    poisson_mean = None
     if state.kind == "coherent":
-        probs = _poisson_pmf(m_max, eta * state.alpha0**2 + nu)
+        poisson_mean = eta * state.alpha0**2 + nu
+        probs = _poisson_pmf(m_max, poisson_mean)
     elif state.kind == "fock":
         base = _binomial_pmf(min(state.k, m_max), state.k, eta)
         probs = _poisson_convolve(base, nu, m_max)
@@ -282,7 +294,7 @@ def photon_number_dist(state: StateSpec, eta: Optional[float] = None,
     probs = np.asarray(probs, dtype=float)
     tail = max(0.0, 1.0 - float(probs.sum()))
     return PhotonNumberDist(probs=probs, tail=tail, eta=eta, nu=nu,
-                            label=f"{state.kind}")
+                            label=f"{state.kind}", poisson_mean=poisson_mean)
 
 
 def squeezed_density_from_weights(density, exposure, n: int, r: float,

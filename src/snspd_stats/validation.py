@@ -83,6 +83,12 @@ def run_suite(suite: str = "quick", seed: int = 7):
     _check(rows, "independent_normalization",
            abs(full.total() + dist2.tail - 1.0), 1e-5 if heavy else 1e-4)
 
+    # the coherent route against the number basis it skips
+    coh1 = photon_number_dist(StateSpec.coherent(1.0), eta=1.0, nu=0.0)
+    route = click_distribution_independent(coh1, exp_cfg, spec).probs
+    basis = cond_prob_matrix(exp_cfg, m_max=coh1.m_max, spec=spec).entries @ coh1.probs
+    _check(rows, "coherent_route_vs_number_basis", float(np.max(np.abs(route - basis))), 1e-6)
+
     # simulation against analytic routes
     trials = 200_000 if heavy else 100_000
     mc = empirical_distribution(StateSpec.coherent(2.0), ideal,

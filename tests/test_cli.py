@@ -34,6 +34,15 @@ def test_dist_csv_format(capsys):
     assert "n,prob" in out
 
 
+def test_dist_coherent_past_the_photon_cap(capsys):
+    # coherent(6) keeps a tail of 8.8e-6 at 64 photons; its rows reach the click cap
+    code, out = run(capsys, ["dist", "--state", "coherent:6", "--profile", "exp"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["meta"]["route"] == "coherent"
+    assert sum(float(x) for x in result["probs"]) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_matrix_closed_form(capsys):
     code, out = run(capsys, ["matrix", "--profile", "deadtime", "--tau-d", "0.05",
                              "--m-max", "2", "--closed-form", "--format", "csv"])

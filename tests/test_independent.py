@@ -6,9 +6,9 @@ import pytest
 
 from snspd_stats import (DetectorConfig, DomainError,
                          EfficiencyProfile, ModeProfile, QuadratureSpec,
-                         StateSpec, click_distribution_independent,
+                         SimSpec, StateSpec, click_distribution_independent,
                          coherent_click_probability, cond_prob_matrix,
-                         deadtime_closed_form, photon_number_dist,
+                         deadtime_closed_form, empirical_distribution, photon_number_dist,
                          regular_irregular_split, same_count_probability,
                          squeezed_distribution_direct)
 from snspd_stats import independent, weights
@@ -264,6 +264,94 @@ class TestClickDistribution:
         out = click_distribution_independent(dist, EXP, SPEC)
         assert out.meta["eta"] == 0.9
         assert out.config["efficiency"]["kind"] == "exponential_recovery"
+
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    def test_suggested_m_max_brings_the_tail_below_the_bound(self, eta):
+        # at eta = 1 every odd entry is zero: the hint steps over them
+        heavy = photon_number_dist(StateSpec.squeezed(1.5), eta=eta, nu=0.0)
+        suggested = independent._required_m_max(heavy, 1e-8)
+        assert heavy.tail > 1e-8 and suggested > heavy.m_max
+        with pytest.raises(DomainError, match=f"increase m_max to about {suggested}"):
+            click_distribution_independent(heavy, EXP, SPEC)
+        enough = photon_number_dist(StateSpec.squeezed(1.5), eta=eta, nu=0.0, m_max=suggested)
+        assert enough.tail <= 1e-8
+
+
+_KNOTS = np.linspace(0.0, 1.0, 501)
+LATTICE = DetectorConfig(tau_m=1.0, efficiency=EfficiencyProfile.tabulated(
+    list(zip(_KNOTS, EXP.efficiency.value(_KNOTS)))))
+PEAKED_MODE = replace(EXP, mode=ModeProfile.tabulated([(0.0, 1.0), (0.5, 2.0), (1.0, 1.0)]))
+QUAD_ROWS = QuadratureSpec(gauss_order=8, qmc_samples=1 << 12, seed=3)
+
+
+class TestCoherentRoute:
+    @pytest.mark.parametrize("config, alpha0, spec", [
+        (EXP, 1.0, SPEC), (EXP, 3.0, SPEC), (DT, 2.0, SPEC), (LATTICE, 1.5, SPEC),
+        (PEAKED_MODE, 0.5, QUAD_ROWS)], ids=["exp", "exp_past_cap", "dead", "lattice", "mode"])
+    def test_matches_the_number_basis(self, config, alpha0, spec):
+        dist = photon_number_dist(StateSpec.coherent(alpha0), eta=1.0, nu=0.0)
+        out = click_distribution_independent(dist, config, spec)
+        basis = cond_prob_matrix(config, m_max=dist.m_max, spec=spec).entries @ dist.probs
+        assert out.meta["route"] == "coherent" and out.probs.shape == basis.shape
+        assert np.max(np.abs(out.probs - basis)) <= dist.tail + 1e-9
+        served = config.mode.kind == "monochromatic"
+        assert ("renewal" in out.meta["engines"]) == served
+        assert (out.meta["renewal_err"] is None) != served
+        assert (out.meta["quad_err"] is None) == served
+
+    def test_lossy_state_takes_its_poisson_mean(self):
+        dist = photon_number_dist(StateSpec.coherent(2.0), eta=0.7, nu=0.1)
+        out = click_distribution_independent(dist, EXP, SPEC)
+        want = [coherent_click_probability(replace(EXP, eta=0.7, nu=0.1), n, 4.0, SPEC)
+                for n in range(len(out.probs))]
+        assert np.max(np.abs(out.probs - want)) < 1e-15
+
+    def test_rows_to_the_click_cap_are_exact_in_the_photon_number(self):
+        # the default cutoff of coherent(6) leaves a tail of 8.8e-6
+        dist = photon_number_dist(StateSpec.coherent(6.0), eta=1.0, nu=0.0)
+        assert dist.tail > 1e-8 and dist.m_max == 64
+        out = click_distribution_independent(dist, EXP, SPEC)
+        assert len(out.probs) == EXP.max_clicks() + 1
+        assert out.total() == pytest.approx(1.0, abs=1e-8)
+        trials = 200_000
+        mc = empirical_distribution(StateSpec.coherent(6.0), EXP, SimSpec(trials=trials, seed=11))
+        # bins expecting fewer than 25 counts are pooled at each end, where a
+        # normal z would misread a single count
+        lo, hi = np.nonzero(out.probs * trials >= 25)[0][[0, -1]]
+        pa, pe = ([p[:lo].sum(), *p[lo:hi + 1], p[hi + 1:].sum()] for p in (out.probs, mc.probs))
+        pa, pe = np.array(pa), np.array(pe)
+        z = np.abs(pa - pe) / np.sqrt(pa * (1 - pa) / trials)
+        assert z.max() < 4
+
+    @pytest.mark.parametrize("config, m_max", [(EXP, 10), (LATTICE, None)],
+                             ids=["below_cap", "no_cap"])
+    def test_tail_refusal_stands_short_of_the_cap(self, config, m_max):
+        dist = photon_number_dist(StateSpec.coherent(6.0 if m_max is None else 2.0),
+                                  eta=1.0, nu=0.0, m_max=m_max)
+        with pytest.raises(DomainError, match="increase m_max"):
+            click_distribution_independent(dist, config, SPEC)
+
+    def test_vacuum(self):
+        dist = photon_number_dist(StateSpec.coherent(0.0), eta=1.0, nu=0.0)
+        out = click_distribution_independent(dist, EXP, SPEC)
+        assert out.probs.tolist() == [1.0] and out.meta["route"] == "coherent"
+        longer = photon_number_dist(StateSpec.coherent(0.0), eta=1.0, nu=0.0, m_max=4)
+        assert click_distribution_independent(longer, EXP, SPEC).probs.tolist() == [1.0] + [0.0] * 4
+
+    @pytest.mark.parametrize("state", [StateSpec.fock(3), StateSpec.squeezed(0.5)])
+    def test_other_states_keep_the_number_basis(self, state):
+        dist = photon_number_dist(state, eta=0.9, nu=0.0)
+        out = click_distribution_independent(dist, EXP, SPEC)
+        matrix = cond_prob_matrix(EXP, m_max=dist.m_max, spec=SPEC)
+        assert np.array_equal(out.probs, matrix.entries @ dist.probs)
+        assert out.meta["route"] == "number_basis"
+        assert out.meta["engines"] == matrix.meta["engines"]
+
+    def test_ideal_profile_keeps_the_tail_refusal(self):
+        # an ideal profile returns the photon numbers themselves, tail and all
+        dist = photon_number_dist(StateSpec.coherent(6.0), eta=1.0, nu=0.0)
+        with pytest.raises(DomainError, match="increase m_max"):
+            click_distribution_independent(dist, IDEAL, SPEC)
 
 
 class TestSqueezedDirectRoute:

@@ -86,6 +86,10 @@ class TestCoherent:
         d = photon_number_dist(StateSpec.coherent(2.0), eta=1.0, nu=0.0)
         assert d.tail < 1e-8
 
+    def test_records_its_poisson_mean(self):
+        d = photon_number_dist(StateSpec.coherent(2.0), eta=0.9, nu=0.05, m_max=3)
+        assert d.poisson_mean == 0.9 * 4.0 + 0.05
+
     @pytest.mark.parametrize("alpha0", [1e200, -1e160, math.inf, math.nan])
     def test_amplitude_without_a_finite_mean_is_rejected(self, alpha0):
         # |alpha0|^2 overflows a float: the mean photon number is not finite
@@ -96,6 +100,12 @@ class TestCoherent:
 
     def test_largest_amplitudes_still_build(self):
         assert StateSpec.coherent(1e150).alpha0 == 1e150
+
+
+@pytest.mark.parametrize("state", [StateSpec.fock(3), StateSpec.squeezed(0.5),
+                                   StateSpec.custom([0.5, 0.5])])
+def test_only_coherent_states_record_a_poisson_mean(state):
+    assert photon_number_dist(state, eta=0.9, nu=0.1).poisson_mean is None
 
 
 @pytest.mark.parametrize("state", [StateSpec.coherent(1.0), StateSpec.fock(3),
@@ -227,6 +237,19 @@ class TestStateSpecParsing:
         spec = StateSpec.from_json_dict({"kind": "squeezed_vacuum", "r": 1.5, "eta": 0.8})
         assert spec.r == 1.5 and spec.eta == 0.8
         assert spec.to_json_dict()["eta"] == 0.8
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2.0), True, "2", None])
+    def test_non_integer_fock_number_is_rejected(self, k):
+        with pytest.raises(DomainError, match="Fock number must be an integer"):
+            StateSpec.fock(k)
+        with pytest.raises(DomainError, match="Fock number must be an integer"):
+            StateSpec.from_json_dict({"kind": "fock", "k": k})
+
+    @pytest.mark.parametrize("k", [3, np.int64(3), np.uint8(3)])
+    def test_integer_fock_numbers_build(self, k):
+        spec = StateSpec.fock(k)
+        assert spec.k == 3 and type(spec.k) is int
+        assert StateSpec.from_json_dict({"kind": "fock", "k": k}) == spec
 
 
 class TestSqueezedClickDensity:
