@@ -10,8 +10,10 @@ reconstruct recovery curve from inter-click gap samples
 figure      bar data behind the three example figures (four detector models)
 validate    built-in cross-check suite
 
-Times are read in units of the window by default (``--time-unit taum``);
-``--time-unit seconds`` treats every time flag as absolute.  Every output
+Times are read in units of the window by default (``--time-unit taum``),
+and ``--rate-hint`` per window; ``--time-unit seconds`` reads every time
+flag in seconds and the hint per second.  One table, ``_OPTIONS``, gives
+each flag its default, argparse settings and unit.  Every output
 embeds the resolved run configuration plus a digest of the numeric
 payload, so reruns with the same configuration are byte-identical.
 Exit codes: 0 success, 2 usage error, 1 numerical failure.
@@ -23,7 +25,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,51 +43,50 @@ from .results import ClickDistribution, ConditionalMatrix
 from .states import StateSpec, photon_number_dist
 from .validation import run_suite
 
-_DEFAULTS = {
-    "tau_m": 1.0, "eta": 1.0, "nu": 0.0, "profile": "ideal",
-    "tau_d": 0.05, "tau_r": 0.2, "time_unit": "taum",
-    "method": "auto", "rel_tol": 1e-6, "abs_tol": 1e-9,
-    "gauss_order": 32, "qmc_samples": 1 << 16, "seed": 0,
-    "format": "json", "delta": None, "windows": 3, "memory_depth": "8",
-    "trials": 100_000, "carry": "fresh", "windows_per_trial": 1,
-    "n_max": None, "m_max": 10, "state": "coherent:2",
-    "bin_width": 0.01, "t_max": 1.0, "rate_hint": None,
-    "tail_correction": "auto", "min_preceding_gap": None,
-}
+
+class _Option(NamedTuple):
+    """A flag's default, argparse settings and unit ("time" or "rate", see ``_absolute``)."""
+
+    default: object
+    type: type
+    unit: Optional[str] = None
+    choices: Optional[list] = None
+    help: Optional[str] = None
 
 
-_FLAGS = {
-    "tau_m": dict(type=float), "eta": dict(type=float), "nu": dict(type=float),
-    "profile": dict(type=str, help="ideal | deadtime | exp | tabulated:FILE.csv"),
-    "tau_d": dict(type=float), "tau_r": dict(type=float),
-    "time_unit": dict(type=str, choices=["taum", "seconds"]),
-    "method": dict(type=str, choices=["auto", "nested_gauss", "qmc_sobol"]),
-    "rel_tol": dict(type=float), "abs_tol": dict(type=float),
-    "gauss_order": dict(type=int), "qmc_samples": dict(type=int),
-    "seed": dict(type=int), "format": dict(type=str, choices=["json", "csv"]),
-    "state": dict(type=str, help="coherent:A | fock:K | squeezed:R | vacuum"),
-    "delta": dict(type=float), "windows": dict(type=int),
-    "memory_depth": dict(type=str), "trials": dict(type=int),
-    "carry": dict(type=str, help="fresh | fixed:TAU | contiguous"),
-    "windows_per_trial": dict(type=int), "n_max": dict(type=int),
-    "m_max": dict(type=int), "bin_width": dict(type=float),
-    "t_max": dict(type=float), "rate_hint": dict(type=float),
-    "tail_correction": dict(type=str, choices=["auto", "none", "rate", "self"]),
-    "min_preceding_gap": dict(type=float),
+_OPTIONS = {
+    "tau_m": _Option(1.0, float), "eta": _Option(1.0, float), "nu": _Option(0.0, float),
+    "profile": _Option("ideal", str, "time", help="ideal | deadtime | exp | tabulated:FILE.csv"),
+    "tau_d": _Option(0.05, float, "time"), "tau_r": _Option(0.2, float, "time"),
+    "time_unit": _Option("taum", str, choices=["taum", "seconds"]),
+    "method": _Option("auto", str, choices=["auto", "nested_gauss", "qmc_sobol"]),
+    "rel_tol": _Option(1e-6, float), "abs_tol": _Option(1e-9, float),
+    "gauss_order": _Option(32, int), "qmc_samples": _Option(1 << 16, int),
+    "seed": _Option(0, int), "format": _Option("json", str, choices=["json", "csv"]),
+    "state": _Option("coherent:2", str, help="coherent:A | fock:K | squeezed:R | vacuum"),
+    "delta": _Option(None, float, "time"), "windows": _Option(3, int),
+    "memory_depth": _Option("8", str), "trials": _Option(100_000, int),
+    "carry": _Option("fresh", str, "time", help="fresh | fixed:TAU | contiguous"),
+    "windows_per_trial": _Option(1, int), "n_max": _Option(None, int),
+    "m_max": _Option(10, int), "bin_width": _Option(0.01, float, "time"),
+    "t_max": _Option(1.0, float, "time"), "rate_hint": _Option(None, float, "rate"),
+    "tail_correction": _Option("auto", str, choices=["auto", "none", "rate", "self"]),
+    "min_preceding_gap": _Option(None, float, "time"),
 }
 
 
 def _add_common(p: argparse.ArgumentParser, *names):
     for name in names:
-        p.add_argument("--" + name.replace("_", "-"), dest=name,
-                       default=None, **_FLAGS[name])
+        opt = _OPTIONS[name]
+        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                       type=opt.type, choices=opt.choices, help=opt.help)
     p.add_argument("--config", dest="config_file", default=None,
                    help="JSON file with flag values (explicit flags override)")
     p.add_argument("--out", dest="out", default=None)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    resolved = dict(_DEFAULTS)
+    resolved = {key: opt.default for key, opt in _OPTIONS.items()}
     if getattr(args, "config_file", None):
         with open(args.config_file) as fh:
             try:
@@ -94,13 +95,13 @@ def _resolve(args: argparse.Namespace) -> dict:
                 raise DomainError(f"{args.config_file}: not valid JSON ({exc})") from None
         if not isinstance(file_cfg, dict):
             raise DomainError(f"{args.config_file}: needs a JSON object of flag values")
-        unknown = set(file_cfg) - set(_DEFAULTS)
+        unknown = set(file_cfg) - set(_OPTIONS)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         for key, val in file_cfg.items():
             _check_type(key, val)
         resolved.update(file_cfg)
-    for key in _DEFAULTS:
+    for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
             resolved[key] = val
@@ -113,28 +114,37 @@ def _check_type(key: str, val) -> None:
 
     Null is accepted where the default is null.
     """
-    kind = _FLAGS[key]["type"]
-    if val is None and _DEFAULTS[key] is None:
+    kind = _OPTIONS[key].type
+    if val is None and _OPTIONS[key].default is None:
         return
     allowed = (int, float) if kind is float else kind
     if not isinstance(val, allowed) or isinstance(val, bool):
         raise DomainError(f"config key {key!r} needs a {kind.__name__}, got {val!r}")
 
 
-def _time_scale(r: dict) -> float:
-    return r["tau_m"] if r["time_unit"] == "taum" else 1.0
+def _absolute(r: dict, name: str, value=None):
+    """Flag ``name``'s value (its resolved one unless given) in absolute units.
+
+    Under ``--time-unit taum`` a time is multiplied by tau_m and a rate divided by it.
+    """
+    value = r[name] if value is None else value
+    unit = _OPTIONS[name].unit
+    if value is None or unit is None or r["time_unit"] != "taum":
+        return value
+    return value * r["tau_m"] if unit == "time" else value / r["tau_m"]
+
 
 def _build_profile(r: dict) -> EfficiencyProfile:
-    scale = _time_scale(r)
     name = r["profile"]
     if name == "ideal":
         return EfficiencyProfile.ideal()
     if name in ("deadtime", "dead_time_only"):
-        return EfficiencyProfile.dead_time(r["tau_d"] * scale)
+        return EfficiencyProfile.dead_time(_absolute(r, "tau_d"))
     if name in ("exp", "exponential_recovery"):
-        return EfficiencyProfile.exponential(r["tau_d"] * scale, r["tau_r"] * scale)
-    if name.startswith("tabulated:"):
-        return EfficiencyProfile.from_csv(name.split(":", 1)[1], time_scale=scale)
+        return EfficiencyProfile.exponential(_absolute(r, "tau_d"), _absolute(r, "tau_r"))
+    if name.startswith("tabulated:"):  # the file's time column, in the flags' unit
+        return EfficiencyProfile.from_csv(name.split(":", 1)[1],
+                                          time_scale=_absolute(r, "profile", 1.0))
     raise DomainError(f"unknown profile {name!r}")
 
 
@@ -167,23 +177,21 @@ def _emit_payload(obj, r: dict, command: str) -> None:
 
 def _emit_json(payload: dict, r: dict, command: str) -> None:
     """Write a result inside the envelope that records the run configuration."""
-    envelope = {"command": command, "run_config": {k: r[k] for k in sorted(_DEFAULTS)},
+    envelope = {"command": command, "run_config": {k: r[k] for k in sorted(_OPTIONS)},
                 "result": payload}
     _emit(json.dumps(envelope, indent=1, sort_keys=True) + "\n", r.get("out"))
 
 
-def _state_dist(r: dict, config: DetectorConfig):
-    state = StateSpec.parse(r["state"])
-    eta = state.eta if state.eta is not None else config.eta
-    nu = state.nu if state.nu is not None else config.nu
-    return photon_number_dist(state, eta=eta, nu=nu)
+def _state_dist(r: dict):
+    """The state's number distribution, and the detector at eta 1 and nu 0: both live in the state."""
+    config = _build_config(r)
+    dist = photon_number_dist(StateSpec.parse(r["state"]), eta=config.eta, nu=config.nu)
+    return dist, replace(config, eta=1.0, nu=0.0)
 
 
 def _cmd_dist(args) -> int:
     r = _resolve(args)
-    config = _build_config(r)
-    dist = _state_dist(r, config)
-    unit_cfg = replace(config, eta=1.0, nu=0.0)  # eta and nu live in the state
+    dist, unit_cfg = _state_dist(r)
     out = click_distribution_independent(dist, unit_cfg, _build_spec(r))
     _emit_payload(out, r, "dist")
     return 0
@@ -208,19 +216,12 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_cw(args) -> int:
     r = _resolve(args)
-    config = _build_config(r)
-    dist = _state_dist(r, config)
-    unit_cfg = replace(config, eta=1.0, nu=0.0)  # eta and nu live in the state
-    md = str(r["memory_depth"])
-    if md == "geometric_limit":
-        depth = md
-    else:
-        try:
-            depth = int(md)
-        except ValueError:
-            raise DomainError(f"memory_depth must be an integer or 'geometric_limit', got {md!r}")
-    delta = r["delta"] * _time_scale(r) if r["delta"] is not None else None
-    cw = CwConfig(delta=delta, window_count=r["windows"], memory_depth=depth)
+    dist, unit_cfg = _state_dist(r)
+    try:
+        depth = int(r["memory_depth"])
+    except ValueError:
+        depth = r["memory_depth"]  # CwConfig takes no other word than "geometric_limit"
+    cw = CwConfig(delta=_absolute(r, "delta"), window_count=r["windows"], memory_depth=depth)
     out = click_distribution_cw(dist, unit_cfg, cw, _build_spec(r))
     _emit_payload(out, r, "cw")
     return 0
@@ -233,7 +234,7 @@ def _cmd_simulate(args) -> int:
     carry = r["carry"]
     if carry.startswith("fixed:"):
         try:
-            tau = float(carry.split(":", 1)[1]) * _time_scale(r)
+            tau = _absolute(r, "carry", float(carry.split(":", 1)[1]))
         except ValueError:
             raise DomainError(f"carry fixed:TAU needs a number, got {carry!r}") from None
         mode = "fixed_tau"
@@ -260,13 +261,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     r = _resolve(args)
-    scale = _time_scale(r)
     gaps = read_gaps(args.gaps)
     spec = ReconstructionSpec(
-        bin_width=r["bin_width"] * scale, t_max=r["t_max"] * scale,
-        lambda_hint=r["rate_hint"], tail_correction=r["tail_correction"],
-        min_preceding_gap=(r["min_preceding_gap"] * scale
-                           if r["min_preceding_gap"] is not None else None))
+        bin_width=_absolute(r, "bin_width"), t_max=_absolute(r, "t_max"),
+        lambda_hint=_absolute(r, "rate_hint"), tail_correction=r["tail_correction"],
+        min_preceding_gap=_absolute(r, "min_preceding_gap"))
     res = reconstruct_details(gaps, spec)
     lines = ["t,xi"] + [f"{repr(t)},{repr(v)}" for t, v in res.profile.table]
     text = "# lambda_hat=%s n_samples=%d\n%s\n" % (

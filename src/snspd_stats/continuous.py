@@ -38,13 +38,12 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .detector import DetectorConfig
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_count
 from .independent import (DEFAULT_SPEC, click_distribution_independent, coherent_row,
-                          coherent_rows, cond_prob_matrix, number_table, number_tables,
-                          resolve_n_max)
+                          coherent_rows, cond_prob_matrix, number_tables, resolve_n_max)
 from .quadrature import QuadratureSpec, _gauss
 from .results import ClickDistribution, ConditionalMatrix
-from .states import PhotonNumberDist
+from .states import PhotonNumberDist, check_tail
 
 _TAU_NEAR_ORDER = 6      # Gauss order for the carry average over [0, tau_d]
 _TAU_FAR_ORDER = 10      # Gauss order for the carry average over [tau_d, Delta]
@@ -67,13 +66,9 @@ class CwConfig:
     def __post_init__(self):
         if self.delta is not None and not 0 < self.delta < math.inf:
             raise DomainError("delta must be positive and finite")
-        if not isinstance(self.window_count, (int, np.integer)) or self.window_count < 1:
-            raise DomainError("window_count must be an integer of at least 1")
-        if isinstance(self.memory_depth, str):
-            if self.memory_depth != "geometric_limit":
-                raise DomainError("memory_depth must be an integer or 'geometric_limit'")
-        elif not isinstance(self.memory_depth, (int, np.integer)) or self.memory_depth < 1:
-            raise DomainError("memory_depth must be an integer of at least 1")
+        check_count(self.window_count, "window_count", 1)
+        if self.memory_depth != "geometric_limit":
+            check_count(self.memory_depth, "memory_depth (or 'geometric_limit')", 1)
 
 
 def resolve_delta(config: DetectorConfig, cw: CwConfig) -> float:
@@ -90,10 +85,9 @@ def resolve_delta(config: DetectorConfig, cw: CwConfig) -> float:
         elif kind == "exponential_recovery":
             delta = prof.tau_d + prof.tau_r * math.log(100.0)
         else:
-            t = np.asarray([p[0] for p in prof.table])
-            v = np.asarray([p[1] for p in prof.table])
-            ok = np.nonzero(v >= 0.99)[0]
-            delta = float(t[ok[0]]) if len(ok) else float(t[-1])
+            knots = prof.knots
+            ok = np.nonzero(knots.v >= 0.99)[0]
+            delta = float(knots.t[ok[0]]) if len(ok) else float(knots.t[-1])
         delta = min(delta, 0.3 * config.tau_m)
         delta = max(delta, 1e-6 * config.tau_m)
     if delta >= config.tau_m:
@@ -166,8 +160,8 @@ def carryover_matrix(config: DetectorConfig, cw: CwConfig,
                                  config=out.config, meta=out.meta)
     delta = resolve_delta(config, cw)
     n_max = resolve_n_max(config, n_max, m_max)
-    entries, provenance = number_table(config, n_max, m_max, spec,
-                                       carries=_carry_nodes(config, delta))
+    (entries, provenance), = number_tables(config, n_max, m_max, spec, [None],
+                                           carries=_carry_nodes(config, delta))
     return _carried_matrix(config, delta, entries, provenance, spec)
 
 
@@ -185,7 +179,7 @@ def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,
 
     The carry-averaged matrix and the b table read one carried chain at
     two last-click ranges (``number_tables``), each bit for bit what
-    ``carryover_matrix`` and a carried ``number_table`` give alone.
+    ``carryover_matrix`` and a carried table of that range give alone.
     ``meta`` records the ``engines``, ``renewal_err`` and ``quad_err`` of
     the a and b tables.
     """
@@ -201,7 +195,7 @@ def memory_kernels(config: DetectorConfig, cw: CwConfig, m_max: int,
     else:
         n_max = resolve_n_max(config, None, m_max)
         last_click = (config.tau_m - delta, config.tau_m)
-        fresh, meta_a = number_table(config, n_max, m_max, spec, last_click=last_click)
+        (fresh, meta_a), = number_tables(config, n_max, m_max, spec, [last_click])
         (d_entries, d_meta), (carried, meta_b) = number_tables(
             config, n_max, m_max, spec, [None, last_click], carries=_carry_nodes(config, delta))
         d_matrix = _carried_matrix(config, delta, d_entries, d_meta, spec)
@@ -269,8 +263,7 @@ def click_distribution_cw(state: PhotonNumberDist, config: DetectorConfig,
     first).  Precomputed kernels or conditional matrices can be passed in
     to share work across window counts.
     """
-    if state.tail > 1e-8:
-        raise DomainError(f"state tail mass {state.tail:.2e} exceeds 1e-8")
+    check_tail(state)
     if config.efficiency.kind == "ideal":
         base = click_distribution_independent(state, config, spec)
         return ClickDistribution(probs=base.probs, scenario="cw:pnr",
@@ -323,8 +316,8 @@ def last_click_density(config: DetectorConfig, alpha_sq: float, tau,
     + 10 rows without one), every offset a pinned last click of one
     ``coherent_rows`` call.
     """
-    if n_cut is not None and (not isinstance(n_cut, (int, np.integer)) or n_cut < 1):
-        raise DomainError("n_cut must be an integer of at least 1")
+    if n_cut is not None:
+        check_count(n_cut, "n_cut", 1)
     a = config.effective_mean(alpha_sq)
     taus = _offsets(config, tau, carry)
     if config.efficiency.kind == "ideal" and carry is None:
@@ -356,8 +349,7 @@ def last_click_density_fock(config: DetectorConfig, m: int, tau,
     ``qmc_sobol`` spec bypasses the engine and gives the quadrature
     reference that the tests check a_m against.
     """
-    if m < 0:
-        raise DomainError("photon number must be nonnegative")
+    check_count(m, "photon number")
     taus = _offsets(config, tau, carry)
     carries = None if carry is None else ([float(carry)], [1.0])
     tables = number_tables(config, m, m, spec, [config.tau_m - float(t) for t in taus], carries)

@@ -60,6 +60,30 @@ def _knot_table(table, what: str, symbol: str):
 
 
 @dataclass(frozen=True)
+class Knots:
+    """Samples (t, v) of a tabulated curve and the integral ``cum`` of its interpolant at each."""
+
+    t: np.ndarray
+    v: np.ndarray
+    cum: np.ndarray
+
+    @classmethod
+    def build(cls, t: np.ndarray, v: np.ndarray, start: float = 0.0) -> "Knots":
+        """The knots, with the integral ``start`` at the first."""
+        return cls(t, v, np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
+                   + start)
+
+    def integral(self, x: np.ndarray) -> np.ndarray:
+        """The integral up to x >= t[0]; past the last knot the curve keeps its last value."""
+        t, v, cum = self.t, self.v, self.cum
+        idx = np.searchsorted(t, x, side="right") - 1
+        k = np.clip(idx, 0, len(t) - 2)
+        dt = x - t[k]
+        inside = cum[k] + v[k] * dt + 0.5 * (np.diff(v) / np.diff(t))[k] * dt**2
+        return np.where(idx >= len(t) - 1, cum[-1] + v[-1] * (x - t[-1]), inside)
+
+
+@dataclass(frozen=True)
 class EfficiencyProfile:
     """Time-dependent efficiency xi(t) of the detector after a click."""
 
@@ -67,9 +91,7 @@ class EfficiencyProfile:
     tau_d: float = 0.0
     tau_r: float = 0.0
     table: Optional[Tuple[Tuple[float, float], ...]] = None
-    _knots_t: np.ndarray = field(default=None, repr=False, compare=False)
-    _knots_xi: np.ndarray = field(default=None, repr=False, compare=False)
-    _knots_cum: np.ndarray = field(default=None, repr=False, compare=False)
+    knots: Optional[Knots] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("ideal", "dead_time_only", "exponential_recovery", "tabulated"):
@@ -86,14 +108,9 @@ class EfficiencyProfile:
             if np.any(v < -_CLAMP_TOL) or np.any(v > 1 + _CLAMP_TOL):
                 raise DomainError("tabulated xi values outside [0,1] beyond clamping tolerance")
             v = np.clip(v, 0.0, 1.0)
-            # cumulative integral of the linear interpolant at each knot
-            cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
-            if t[0] > 0:
-                cum = cum + v[0] * t[0]  # constant extension below the first knot
             object.__setattr__(self, "table", tuple((float(a), float(b)) for a, b in zip(t, v)))
-            object.__setattr__(self, "_knots_t", t)
-            object.__setattr__(self, "_knots_xi", v)
-            object.__setattr__(self, "_knots_cum", cum)
+            # constant extension below the first knot
+            object.__setattr__(self, "knots", Knots.build(t, v, v[0] * t[0]))
 
     # -- constructors ------------------------------------------------------
 
@@ -153,8 +170,7 @@ class EfficiencyProfile:
             dt = np.maximum(t - self.tau_d, 0.0)
             out = np.where(t >= self.tau_d, -np.expm1(-dt / self.tau_r), 0.0)
         else:
-            out = np.interp(t, self._knots_t, self._knots_xi,
-                            left=self._knots_xi[0], right=self._knots_xi[-1])
+            out = np.interp(t, self.knots.t, self.knots.v)  # constant past either end
             out = np.where(t < 0, 0.0, out)
         return out if out.ndim else float(out)
 
@@ -169,19 +185,8 @@ class EfficiencyProfile:
             dt = np.maximum(x - self.tau_d, 0.0)
             out = dt + self.tau_r * np.expm1(-dt / self.tau_r)
         else:
-            t, v, cum = self._knots_t, self._knots_xi, self._knots_cum
             xc = np.maximum(x, 0.0)
-            idx = np.clip(np.searchsorted(t, xc, side="right") - 1, -1, len(t) - 1)
-            below = idx < 0
-            idx_c = np.maximum(idx, 0)
-            dt_ = xc - t[idx_c]
-            slope = np.zeros_like(v)
-            slope[:-1] = np.diff(v) / np.diff(t)
-            inside = cum[idx_c] + v[idx_c] * dt_ + 0.5 * slope[idx_c] * dt_**2
-            # beyond the last knot the profile extends with its final value
-            last = cum[-1] + v[-1] * (xc - t[-1])
-            out = np.where(idx == len(t) - 1, last, inside)
-            out = np.where(below, v[0] * xc, out)
+            out = np.where(xc < self.knots.t[0], self.knots.v[0] * xc, self.knots.integral(xc))
             out = np.where(x <= 0, 0.0, out)
         return out if out.ndim else float(out)
 
@@ -211,9 +216,7 @@ class ModeProfile:
 
     kind: str = "monochromatic"
     table: Optional[Tuple[Tuple[float, float], ...]] = None
-    _knots_t: np.ndarray = field(default=None, repr=False, compare=False)
-    _knots_i: np.ndarray = field(default=None, repr=False, compare=False)
-    _knots_cum: np.ndarray = field(default=None, repr=False, compare=False)
+    knots: Optional[Knots] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("monochromatic", "tabulated"):
@@ -228,11 +231,8 @@ class ModeProfile:
             if total <= 0:
                 raise DomainError("mode intensity integrates to zero")
             v = v / total  # renormalized on load
-            cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
             object.__setattr__(self, "table", tuple((float(a), float(b)) for a, b in zip(t, v)))
-            object.__setattr__(self, "_knots_t", t)
-            object.__setattr__(self, "_knots_i", v)
-            object.__setattr__(self, "_knots_cum", cum)
+            object.__setattr__(self, "knots", Knots.build(t, v))
 
     @classmethod
     def monochromatic(cls) -> "ModeProfile":
@@ -243,7 +243,7 @@ class ModeProfile:
         return cls(kind="tabulated", table=tuple(samples))
 
     def _check_span(self, tau_m: float) -> None:
-        if self.kind == "tabulated" and abs(self._knots_t[-1] - tau_m) > 1e-9 * max(1.0, tau_m):
+        if self.kind == "tabulated" and abs(self.knots.t[-1] - tau_m) > 1e-9 * max(1.0, tau_m):
             raise DomainError("tabulated mode table does not span the measurement window")
 
     def intensity(self, t, tau_m: float):
@@ -255,7 +255,7 @@ class ModeProfile:
             out = np.full_like(t, 1.0 / tau_m)
         else:
             self._check_span(tau_m)
-            out = np.interp(t, self._knots_t, self._knots_i)
+            out = np.interp(t, self.knots.t, self.knots.v)
         return out if out.ndim else float(out)
 
     def cumulative(self, t0, t1, tau_m: float):
@@ -273,12 +273,8 @@ class ModeProfile:
         return out if out.ndim else float(out)
 
     def _cum_at(self, x):
-        t, v, cum = self._knots_t, self._knots_i, self._knots_cum
-        xc = np.clip(np.asarray(x, dtype=float), t[0], t[-1])
-        idx = np.clip(np.searchsorted(t, xc, side="right") - 1, 0, len(t) - 2)
-        dt_ = xc - t[idx]
-        slope = np.diff(v) / np.diff(t)
-        return cum[idx] + v[idx] * dt_ + 0.5 * slope[idx] * dt_**2
+        t = self.knots.t
+        return self.knots.integral(np.clip(np.asarray(x, dtype=float), t[0], t[-1]))
 
     def sample_times(self, n: int, tau_m: float, rng) -> np.ndarray:
         """Draw n i.i.d. arrival times with density I(t) (used by the simulator)."""

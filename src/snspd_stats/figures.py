@@ -19,7 +19,7 @@ from .detector import DetectorConfig, EfficiencyProfile
 from .independent import (click_distribution_independent, cond_prob_matrix,
                           deadtime_closed_form, squeezed_distribution_direct)
 from .quadrature import QuadratureSpec
-from .states import StateSpec, photon_number_dist
+from .states import StateSpec, photon_number_dist, within_tail
 
 
 def _figure_states(fig: int):
@@ -29,15 +29,6 @@ def _figure_states(fig: int):
         return [("fock4_eta=1", StateSpec.fock(4), 1.0),
                 ("fock4_eta=0.8", StateSpec.fock(4), 0.8)]
     return [("squeezed_r=1.5_eta=0.8", StateSpec.squeezed(1.5), 0.8)]
-
-
-def _dist_within_tail(state: StateSpec, eta: float):
-    dist = photon_number_dist(state, eta=eta, nu=0.0)
-    m_max = dist.m_max
-    while dist.tail > 1e-8 and m_max < 1024:
-        m_max *= 2
-        dist = photon_number_dist(state, eta=eta, nu=0.0, m_max=m_max)
-    return dist
 
 
 def figure_payload(fig: int, spec: QuadratureSpec, tau_m: float = 1.0) -> dict:
@@ -54,7 +45,7 @@ def figure_payload(fig: int, spec: QuadratureSpec, tau_m: float = 1.0) -> dict:
     cw = CwConfig(delta=delta, window_count=l_win)
     datasets, tables = {}, {}
     for label, state, eta in _figure_states(fig):
-        dist = _dist_within_tail(state, eta)
+        dist = within_tail(photon_number_dist(state, eta=eta, nu=0.0))
         pnr = dist.probs
         n_shift = min(shift_cfg.max_clicks(), dist.m_max)
         shifted = np.array([

@@ -25,7 +25,8 @@ the photon number: ``click_distribution_independent`` takes that route
 whenever the state records its ``poisson_mean``, and drops only the
 clicks past m_max, none when m_max reaches the click cap.  Fock, squeezed
 and custom states contract ``cond_prob_matrix`` with their truncated
-distribution.
+distribution.  Where the truncation matters, ``states.check_tail`` refuses
+a state whose tail is too heavy: the tail rule belongs to ``states``.
 
 The dead-time-only detector admits closed forms built from binomial
 weights with the adjusting efficiencies (tau_m - k*tau_d)/tau_m.
@@ -43,10 +44,11 @@ import numpy as np
 
 from . import renewal
 from .detector import DetectorConfig
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_count
 from .quadrature import QuadratureSpec
 from .results import ClickDistribution, ConditionalMatrix
-from .states import PhotonNumberDist, check_squeezing, squeezed_density_from_weights
+from .states import (PhotonNumberDist, check_squeezing, check_tail,
+                     squeezed_density_from_weights)
 from .weights import _free_times, carry_average, no_count_exposure, window_integral
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -85,41 +87,34 @@ def fock_row(config: DetectorConfig, n: int, exps: np.ndarray,
 
 def resolve_n_max(config: DetectorConfig, n_max: Optional[int], m_max: int) -> int:
     """Highest click row of an m_max matrix: the click cap unless given."""
+    check_count(m_max, "m_max")
     if n_max is None:
         cap = config.max_clicks()
         n_max = m_max if cap is None else min(cap, m_max)
-    if not 0 <= n_max <= m_max:
+    if check_count(n_max, "n_max") > m_max:
         raise DomainError(f"need 0 <= n_max <= m_max, got n_max={n_max}, m_max={m_max}")
     return n_max
 
 
-def number_table(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
-                 carries=None, last_click=None):
-    """Number-basis table P(n|m), shape (n_max+1, m_max+1), of one window.
-
-    The window is entered with the carry average ``carries`` (taus,
-    weights), fresh when None; ``last_click`` (lo, hi) restricts its n-th
-    click, and a float pins it there (each entry is then the density in
-    that time).  Under ``spec.method == "auto"`` the rows come from
-    ``renewal.fock_tables`` when the engine serves the configuration, and
-    ``_pick_rows`` keeps or integrates each.  Row 0 holds the no-click
-    probability, zero under a last click; rows above the click cap stay
-    zero.
-
-    Returns ``(entries, meta)``; meta records the requested ``method`` and
-    ``_pick_rows``' ``engines`` of rows 0..n_max ("closed_form" for the
-    zero-click row and rows above the cap), ``renewal_err`` and ``quad_err``.
-    """
-    return number_tables(config, n_max, m_max, spec, [last_click], carries)[0]
-
-
 def number_tables(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
                   last_clicks, carries=None):
-    """``number_table`` for several last clicks (ranges or pins) of one window.
+    """Number-basis tables P(n|m), shape (n_max+1, m_max+1), of one window, per last click.
 
-    The renewal rows of every last click come from one chain
-    (``renewal.fock_tables``); each ``(entries, meta)`` equals
-    ``number_table``'s for that range alone, bit for bit.
+    The window is entered with the carry average ``carries`` (taus,
+    weights), fresh when None.  Each entry of ``last_clicks`` is None, a
+    range (lo, hi) that restricts the n-th click, or a float that pins it
+    there (each entry is then the density in that time).  Under
+    ``spec.method == "auto"`` the rows of every last click come from one
+    chain (``renewal.fock_tables``) when the engine serves the
+    configuration, and ``_pick_rows`` keeps or integrates each; a table is
+    bit for bit the one its last click gives alone.  Row 0 holds the
+    no-click probability, zero under a last click; rows above the click cap
+    stay zero.
+
+    Returns one ``(entries, meta)`` per last click; meta records the
+    requested ``method`` and ``_pick_rows``' ``engines`` of rows 0..n_max
+    ("closed_form" for the zero-click row and rows above the cap),
+    ``renewal_err`` and ``quad_err``.
     """
     carries = None if carries is None else carry_average(carries)
     cap = config.max_clicks()
@@ -133,7 +128,7 @@ def number_tables(config: DetectorConfig, n_max: int, m_max: int, spec: Quadratu
 
 def _number_table(config: DetectorConfig, n_max: int, m_max: int, spec: QuadratureSpec,
                   top: int, carries, last_click, value, err):
-    """``number_table`` from a renewal table (``value``, ``err``; None when not run)."""
+    """One of ``number_tables`` from its renewal table (``value``, ``err``; None when not run)."""
     entries = np.zeros((n_max + 1, m_max + 1))
     if last_click is None and carries is None:
         entries[0, 0] = 1.0
@@ -238,8 +233,7 @@ def coherent_row(config: DetectorConfig, n: int, a: float, spec: QuadratureSpec,
     a pinned click an ideal profile gives the Poisson weight.  Other rows
     n >= 1 are ``coherent_rows``' row n alone.
     """
-    if n < 0:
-        raise DomainError("click number must be nonnegative")
+    check_count(n, "click number")
     if config.efficiency.kind == "ideal" and last_click is None:
         return poisson_weight(n, a)
     if n == 0:
@@ -258,7 +252,7 @@ def coherent_click_probability(config: DetectorConfig, n: int, alpha_sq: float,
     weight without any quadrature.
     """
     cap = config.max_clicks()
-    if cap is not None and n > cap:
+    if cap is not None and check_count(n, "click number") > cap:
         return 0.0
     return coherent_row(config, n, config.effective_mean(alpha_sq), spec)
 
@@ -274,7 +268,7 @@ def cond_prob_matrix(config: DetectorConfig, n_max: Optional[int] = None,
         provenance = {"engines": ["closed_form"] * (n_max + 1), "renewal_err": None,
                       "quad_err": None}
     else:
-        entries, provenance = number_table(config, n_max, m_max, spec)
+        (entries, provenance), = number_tables(config, n_max, m_max, spec, [None])
         scenario = "independent"
 
     entries = np.clip(entries, 0.0, 1.0)
@@ -295,8 +289,8 @@ def regular_irregular_split(config: DetectorConfig, n: int, m: int,
     """
     if config.mode.kind != "monochromatic":
         raise DomainError("regular/irregular split requires a monochromatic mode")
-    if n < 0 or m < 0:
-        raise DomainError("n and m must be nonnegative")
+    check_count(n, "n")
+    check_count(m, "m")
     if config.efficiency.kind == "ideal":
         return (1.0 if n == m else 0.0), 0.0
     if config.efficiency.breakpoint is None:
@@ -333,8 +327,8 @@ def deadtime_closed_form(config: DetectorConfig, n: int, m: int) -> float:
         raise DomainError("closed form requires a pure dead-time profile (tau_r = 0)")
     if config.mode.kind != "monochromatic":
         raise DomainError("closed form requires a monochromatic mode")
-    if n < 0 or m < 0:
-        raise DomainError("n and m must be nonnegative")
+    check_count(n, "n")
+    check_count(m, "m")
     if m < n:
         return 0.0
     td, tm = config.efficiency.tau_d, config.tau_m
@@ -377,9 +371,7 @@ def same_count_probability(config: DetectorConfig, n: int) -> float:
         raise DomainError("closed form requires a monochromatic mode")
     if config.efficiency.kind != "exponential_recovery":
         raise DomainError("closed form requires the exponential-recovery profile")
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if n <= 1:
+    if check_count(n, "n") <= 1:
         return 1.0
     cap = config.max_clicks()
     if cap is not None and n > cap:
@@ -407,23 +399,6 @@ def same_count_probability(config: DetectorConfig, n: int) -> float:
     return min(1.0, math.exp(log_p))
 
 
-def _required_m_max(state: PhotonNumberDist, bound: float) -> int:
-    """Cutoff at which the state's tail should fall to ``bound``.
-
-    The tail is extrapolated as geometric from the last two positive
-    entries, per index step: a lossless squeezed vacuum populates only
-    even numbers, so these may be two steps apart.
-    """
-    positive = np.nonzero(state.probs > 0)[0][-2:]
-    if len(positive) == 2:
-        i, j = positive
-        ratio = (state.probs[j] / state.probs[i]) ** (1.0 / (j - i))
-        if ratio < 1:
-            extra = math.log(bound * (1 - ratio) / max(state.tail, 1e-300)) / math.log(ratio)
-            return state.m_max + max(1, int(math.ceil(extra)))
-    return 2 * max(state.m_max, 1)
-
-
 def click_distribution_independent(state: PhotonNumberDist, config: DetectorConfig,
                                    spec: QuadratureSpec = DEFAULT_SPEC,
                                    ) -> ClickDistribution:
@@ -439,22 +414,20 @@ def click_distribution_independent(state: PhotonNumberDist, config: DetectorConf
     * ``number_basis``: every other state contracts ``cond_prob_matrix``
       with its truncated distribution.
 
-    The number basis drops the photons past m_max, so a state whose tail
-    exceeds 1e-8 is refused.  The coherent route drops only the clicks past
-    top, at most that tail, and is refused likewise; when top is the click
-    cap its rows cover every click number, the result is exact in the
-    photon number and the tail does not apply.  ``meta`` also records the
-    rows' ``engines``, ``renewal_err`` and ``quad_err``.
+    The number basis drops the photons past m_max, so ``states.check_tail``
+    refuses a state whose tail exceeds its bound.  The coherent route drops
+    only the clicks past top, at most that tail, and is refused likewise;
+    when top is the click cap its rows cover every click number, the result
+    is exact in the photon number and the tail does not apply.  ``meta``
+    also records the rows' ``engines``, ``renewal_err`` and ``quad_err``.
     """
     meta = {"eta": state.eta, "nu": state.nu, "state": state.label, "seed": spec.seed}
     cap = config.max_clicks()
     top = state.m_max if cap is None else min(cap, state.m_max)
     coherent = config.efficiency.kind != "ideal" and state.poisson_mean is not None
     exact = coherent and top == cap
-    if state.tail > 1e-8 and not exact:
-        raise DomainError(
-            f"state tail mass {state.tail:.2e} exceeds 1e-8; "
-            f"increase m_max to about {_required_m_max(state, 1e-8)}")
+    if not exact:
+        check_tail(state)
     if config.efficiency.kind == "ideal":
         return ClickDistribution(probs=state.probs.copy(),
                                  scenario="independent:pnr",
@@ -490,7 +463,7 @@ def squeezed_distribution_direct(config: DetectorConfig, r: float,
     independent counterpart of the number-basis route.
     """
     check_squeezing(r)
-    probs = np.zeros(n_max + 1)
+    probs = np.zeros(check_count(n_max, "n_max") + 1)
     probs[0] = squeezed_density_from_weights(
         np.array([1.0]), np.array([1.0]), 0, r, eta=config.eta, nu=config.nu)[0]
     cap = config.max_clicks()

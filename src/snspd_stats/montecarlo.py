@@ -52,7 +52,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .detector import DetectorConfig
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, check_count
 from .quadrature import OrderedTimes
 from .states import StateSpec
 
@@ -93,20 +93,13 @@ class SimSpec:
     collect_offsets: bool = False
 
     def __post_init__(self):
-        for name in ("trials", "windows_per_trial", "warm_up"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise DomainError("trials must be at least 1")
+        for name, minimum in (("trials", 1), ("seed", 0), ("windows_per_trial", 1),
+                              ("warm_up", 0)):
+            check_count(getattr(self, name), name, minimum)
         if self.carry_in not in ("fresh", "fixed_tau", "contiguous"):
             raise DomainError(f"unknown carry_in {self.carry_in!r}")
         if self.carry_in == "fixed_tau" and not self.fixed_tau >= 0:
             raise DomainError("fixed_tau must be nonnegative")
-        if self.windows_per_trial < 1:
-            raise DomainError("windows_per_trial must be at least 1")
-        if self.warm_up < 0:
-            raise DomainError("warm_up must be nonnegative")
         if self.carry_in == "contiguous" and self.windows_per_trial <= self.warm_up:
             raise DomainError("contiguous runs need windows_per_trial > warm_up")
 
@@ -448,10 +441,8 @@ def simulate_interpulse_gaps(config: DetectorConfig, rate: float, n_gaps: int,
     """
     if not (math.isfinite(rate) and rate > 0):
         raise DomainError("rate must be positive and finite")
-    if not isinstance(n_gaps, (int, np.integer)) or isinstance(n_gaps, bool):
-        raise DomainError(f"n_gaps must be an integer, got {n_gaps!r}")
-    if n_gaps < 1:
-        raise DomainError("n_gaps must be at least 1")
+    check_count(n_gaps, "n_gaps", 1)
+    check_count(seed, "seed")
     rng = np.random.Generator(np.random.Philox(seed))
     prof = config.efficiency
     out = np.empty(n_gaps)

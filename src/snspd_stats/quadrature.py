@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, IntegrationError, check_count
 
 _CHUNK = 1 << 16  # max simultaneous integrand evaluations (keeps wide vector integrands in cache)
 _QMC_REPLICATES = 8
@@ -61,13 +61,8 @@ class QuadratureSpec:
             raise DomainError(f"unknown quadrature method {self.method!r}")
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise DomainError("tolerances must be positive and finite")
-        for name in ("gauss_order", "qmc_samples", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise DomainError(f"{name} must be an integer")
-        if self.gauss_order < 2:
-            raise DomainError("gauss_order must be at least 2")
-        if self.qmc_samples < 1 << 10:
-            raise DomainError("qmc_samples must be at least 2**10")
+        for name, minimum in (("gauss_order", 2), ("qmc_samples", 1 << 10), ("seed", 0)):
+            check_count(getattr(self, name), name, minimum)
 
     def accepts(self, value, err) -> np.ndarray:
         """Elementwise test of an error estimate: err <= rel_tol * |value| + abs_tol."""

@@ -349,7 +349,7 @@ def serves(config: DetectorConfig, m_max: int = 0,
         return True
     tm = config.tau_m
     taus = np.zeros(0) if carries is None else np.asarray(carries[0], dtype=float) / tm
-    knots = np.array([t for t, _ in config.efficiency.table]) / tm
+    knots = config.efficiency.knots.t / tm
     reach = knots <= 1.0 + (taus.max() if len(taus) else 0.0)
     bounds = [float(t) / tm for lc in last_clicks if lc is not None for t in np.atleast_1d(lc)]
     steps = np.concatenate([knots[reach], taus, bounds]) * _GRID

@@ -11,6 +11,11 @@ efficiency eta and dark-count intensity nu:
   efficiency), likewise dark-convolved,
 * custom: an explicit distribution, loss-thinned and dark-convolved.
 
+The tail rule lives here alone: a distribution kept up to m_max records
+the mass past it, ``within_tail`` doubles m_max until that tail is within
+``TAIL_BOUND``, and ``check_tail`` refuses a distribution whose tail is
+not, naming the cutoff that search finds.
+
 The squeezed-vacuum expressions pair i^k with P_k(iy), y <= 0.  Since
 i^k P_k(iy) = R_k(-y), with R_{k+1} = ((2k+1) u R_k + k R_{k-1}) / (k+1),
 both are evaluated in real arithmetic, by one scaled recurrence whose
@@ -31,11 +36,12 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .detector import DetectorConfig
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_count
 from .weights import pulse_weights
 
-_TAIL_BOUND = 1e-8
-_M_CAP = 64
+TAIL_BOUND = 1e-8   # largest photon-number mass a truncated distribution may drop
+_M_CAP = 64         # largest default cutoff
+_SEARCH_CAP = 1024  # the doubling search of ``within_tail`` stops at or past this
 
 
 def check_squeezing(r: float) -> None:
@@ -65,11 +71,7 @@ class StateSpec:
         if self.kind == "coherent" and not math.isfinite(self.alpha0 * self.alpha0):
             raise DomainError("coherent amplitude must be finite, with a finite mean number")
         if self.kind == "fock":
-            if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
-                raise DomainError(f"Fock number must be an integer, got {self.k!r}")
-            if self.k < 0:
-                raise DomainError("Fock number must be nonnegative")
-            object.__setattr__(self, "k", int(self.k))
+            object.__setattr__(self, "k", check_count(self.k, "Fock number"))
         if self.kind == "squeezed_vacuum":
             check_squeezing(self.r)
         if self.kind == "custom":
@@ -157,17 +159,15 @@ class StateSpec:
 class PhotonNumberDist:
     """Truncated photon-number distribution with an explicit tail bound.
 
-    ``poisson_mean`` is the mean of a coherent state's Poisson distribution,
-    eta*|alpha0|^2 + nu, and None for every other state; it lets a click
-    distribution skip the number basis.
+    ``spec`` is the state it was built from by ``photon_number_dist``, None
+    for a distribution built by hand.
     """
 
     probs: np.ndarray
     tail: float
     eta: float
     nu: float
-    label: str = ""
-    poisson_mean: Optional[float] = None
+    spec: Optional[StateSpec] = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -180,6 +180,17 @@ class PhotonNumberDist:
     @property
     def m_max(self) -> int:
         return len(self.probs) - 1
+
+    @property
+    def label(self) -> str:
+        return "" if self.spec is None else self.spec.kind
+
+    @property
+    def poisson_mean(self) -> Optional[float]:
+        """A coherent state's Poisson mean, which lets a click distribution skip the number basis."""
+        if self.spec is None or self.spec.kind != "coherent":
+            return None
+        return _coherent_mean(self.spec, self.eta, self.nu)
 
     def mean(self) -> float:
         return float(np.arange(len(self.probs)) @ self.probs)
@@ -231,22 +242,24 @@ def _poisson_convolve(probs: np.ndarray, nu: float, m_max: int) -> np.ndarray:
     return np.convolve(probs, _poisson_pmf(m_max, nu))[:m_max + 1]
 
 
+def _coherent_mean(state: StateSpec, eta: float, nu: float) -> float:
+    return eta * state.alpha0**2 + nu
+
+
 def _cutoff(probs: np.ndarray) -> int:
-    """Smallest m whose cumulative probability is within _TAIL_BOUND of 1, else _M_CAP."""
-    ok = np.nonzero(1.0 - np.cumsum(probs) < _TAIL_BOUND)[0]
+    """Smallest m whose cumulative probability is within TAIL_BOUND of 1, else _M_CAP."""
+    ok = np.nonzero(1.0 - np.cumsum(probs) < TAIL_BOUND)[0]
     return int(ok[0]) if len(ok) else _M_CAP
 
 
 def _default_m_max(state: StateSpec, eta: float, nu: float) -> int:
-    if state.kind == "fock" and nu == 0.0:
-        return state.k
     if state.kind == "coherent":
-        return _cutoff(_poisson_pmf(_M_CAP, eta * state.alpha0**2 + nu))
+        return _cutoff(_poisson_pmf(_M_CAP, _coherent_mean(state, eta, nu)))
     if state.kind == "squeezed_vacuum":
         probs = _squeezed_number_probs(state.r, eta, _M_CAP)
         m = _cutoff(_poisson_convolve(probs, nu, _M_CAP))
         return min(_M_CAP, m + (m % 2))  # prefer an even cutoff
-    # fock with dark counts, custom
+    # fock, custom: their own numbers, and the dark counts'
     base = state.k if state.kind == "fock" else len(state.probs) - 1
     if nu == 0.0:
         return base
@@ -265,15 +278,10 @@ def photon_number_dist(state: StateSpec, eta: Optional[float] = None,
         raise DomainError("eta must be in [0, 1]")
     if not 0.0 <= nu < math.inf:
         raise DomainError(f"nu must be finite and nonnegative, got {nu}")
-    if m_max is None:
-        m_max = _default_m_max(state, eta, nu)
-    elif not isinstance(m_max, (int, np.integer)) or isinstance(m_max, bool) or m_max < 0:
-        raise DomainError(f"m_max must be a nonnegative integer, got {m_max!r}")
+    m_max = _default_m_max(state, eta, nu) if m_max is None else check_count(m_max, "m_max")
 
-    poisson_mean = None
     if state.kind == "coherent":
-        poisson_mean = eta * state.alpha0**2 + nu
-        probs = _poisson_pmf(m_max, poisson_mean)
+        probs = _poisson_pmf(m_max, _coherent_mean(state, eta, nu))
     elif state.kind == "fock":
         base = _binomial_pmf(min(state.k, m_max), state.k, eta)
         probs = _poisson_convolve(base, nu, m_max)
@@ -293,8 +301,31 @@ def photon_number_dist(state: StateSpec, eta: Optional[float] = None,
 
     probs = np.asarray(probs, dtype=float)
     tail = max(0.0, 1.0 - float(probs.sum()))
-    return PhotonNumberDist(probs=probs, tail=tail, eta=eta, nu=nu,
-                            label=f"{state.kind}", poisson_mean=poisson_mean)
+    return PhotonNumberDist(probs=probs, tail=tail, eta=eta, nu=nu, spec=state)
+
+
+def within_tail(dist: PhotonNumberDist) -> PhotonNumberDist:
+    """``dist`` rebuilt from its state with m_max doubled until its tail is within TAIL_BOUND.
+
+    The search starts from max(1, m_max) and stops once m_max reaches 1024.
+    """
+    while dist.spec is not None and dist.tail > TAIL_BOUND and dist.m_max < _SEARCH_CAP:
+        dist = photon_number_dist(dist.spec, dist.eta, dist.nu, max(1, 2 * dist.m_max))
+    return dist
+
+
+def check_tail(dist: PhotonNumberDist) -> None:
+    """Refuse a tail above TAIL_BOUND, naming the cutoff ``within_tail`` finds, if any."""
+    if dist.tail <= TAIL_BOUND:
+        return
+    wider = within_tail(dist)
+    if wider.tail <= TAIL_BOUND:
+        hint = f"increase m_max to {wider.m_max}"
+    elif dist.spec is None:
+        hint = "a distribution built by hand records no state to rebuild"
+    else:
+        hint = f"no m_max up to {wider.m_max} brings it within the bound"
+    raise DomainError(f"state tail mass {dist.tail:.2e} exceeds {TAIL_BOUND:g}; {hint}")
 
 
 def squeezed_density_from_weights(density, exposure, n: int, r: float,

@@ -85,7 +85,7 @@ def _mode_xi_segment(config: DetectorConfig, a, b, origin, order: int = 16):
     x, w = _gauss(order)
     hx = 0.5 * (x + 1.0)
     out = np.zeros_like(a)
-    knots = mode._knots_t[1:-1] if mode.kind == "tabulated" else np.empty(0)
+    knots = mode.knots.t[1:-1] if mode.kind == "tabulated" else np.empty(0)
     ladder = [a] + [np.clip(np.broadcast_to(k, a.shape), a, b) for k in knots] + [b]
     bp = prof.breakpoint
     for lo0, hi0 in zip(ladder, ladder[1:]):

@@ -267,3 +267,34 @@ def test_cw_geometric_limit_depth(capsys):
     assert payload["meta"]["memory_depth"] == "geometric_limit"
     assert main(["cw", "--state", "fock:2", "--profile", "exp",
                  "--memory-depth", "several"]) == 2
+
+
+@pytest.mark.parametrize("command, state, hint", [
+    ("cw", "squeezed:1.5", "increase m_max to 256"),
+    ("dist", "squeezed:1.5", "increase m_max to 256"),
+    ("dist", "squeezed:300", "no m_max up to 1024 brings it within the bound")])
+def test_tail_refusal_names_a_cutoff(capsys, command, state, hint):
+    assert main([command, "--state", state, "--profile", "exp", "--eta", "0.8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: state tail mass") and err.rstrip().endswith(hint)
+
+
+def test_rate_hint_is_read_per_window(tmp_path, capsys):
+    # gaps at 0.125 per second with tau_m = 2: a hint of 0.25 per window
+    from snspd_stats import DetectorConfig, EfficiencyProfile, simulate_interpulse_gaps
+    cfg = DetectorConfig(tau_m=2.0, efficiency=EfficiencyProfile.exponential(0.1, 0.2))
+    gaps_path = tmp_path / "gaps.f64"
+    simulate_interpulse_gaps(cfg, 0.125, 200_000, seed=4).astype("<f8").tofile(gaps_path)
+    argv = ["reconstruct", "--gaps", str(gaps_path), "--tau-m", "2", "--bin-width", "0.02",
+            "--t-max", "1.6"]
+    curves = []
+    for hint in ([], ["--rate-hint", "0.25"], ["--rate-hint", "0.125", "--time-unit", "seconds",
+                                               "--bin-width", "0.04", "--t-max", "3.2"]):
+        code, out = run(capsys, argv + hint)
+        assert code == 0
+        lines = out.splitlines()
+        curves.append((lines[0], np.array([float(line.split(",")[1]) for line in lines[2:]])))
+    (_, auto), (hint_head, hinted), (seconds_head, seconds) = curves
+    assert hint_head == seconds_head == "# lambda_hat=0.125 n_samples=200000"
+    assert np.array_equal(hinted, seconds)
+    assert np.abs(hinted - auto).max() < 0.05

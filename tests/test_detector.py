@@ -203,3 +203,19 @@ class TestDetectorConfig:
 def test_non_finite_inputs_rejected(build, bad):
     with pytest.raises(DomainError):
         build(bad)
+
+
+@pytest.mark.parametrize("curve", ["efficiency", "mode"])
+def test_both_tabulated_curves_read_one_knot_integral(curve):
+    samples = [(0.0, 0.5), (0.3, 1.0), (0.55, 0.75), (1.0, 1.0)]
+    if curve == "efficiency":
+        prof = EfficiencyProfile.tabulated(samples)
+        at_knots = prof.cumulative(prof.knots.t)
+    else:
+        prof = ModeProfile.tabulated(samples)
+        at_knots = prof.cumulative(0.0, prof.knots.t, 1.0)
+    assert [t for t, _ in prof.table] == prof.knots.t.tolist()
+    assert np.array_equal(at_knots, prof.knots.cum)
+    # halfway to the second knot: the trapezoid under the linear interpolant
+    v0, v1 = prof.knots.v[:2]
+    assert prof.knots.integral(np.array(0.15)) == pytest.approx(0.15 * (v0 + (v0 + v1) / 2) / 2)

@@ -267,12 +267,12 @@ class TestClickDistribution:
 
     @pytest.mark.parametrize("eta", [1.0, 0.8])
     def test_suggested_m_max_brings_the_tail_below_the_bound(self, eta):
-        # at eta = 1 every odd entry is zero: the hint steps over them
+        # at eta = 1 every odd entry is zero
         heavy = photon_number_dist(StateSpec.squeezed(1.5), eta=eta, nu=0.0)
-        suggested = independent._required_m_max(heavy, 1e-8)
-        assert heavy.tail > 1e-8 and suggested > heavy.m_max
-        with pytest.raises(DomainError, match=f"increase m_max to about {suggested}"):
+        with pytest.raises(DomainError, match=r"increase m_max to (\d+)$") as refusal:
             click_distribution_independent(heavy, EXP, SPEC)
+        suggested = int(refusal.value.args[0].rsplit(" ", 1)[1])
+        assert heavy.tail > 1e-8 and suggested == 256
         enough = photon_number_dist(StateSpec.squeezed(1.5), eta=eta, nu=0.0, m_max=suggested)
         assert enough.tail <= 1e-8
 
@@ -450,15 +450,15 @@ COARSE = QuadratureSpec(gauss_order=8)
 
 def test_carries_take_one_checked_form():
     carries = ([0.0213, 0.1], [0.25, 0.75])
-    listed, meta = independent.number_table(OFF_LATTICE, 3, 4, COARSE, carries=carries)
+    (listed, meta), = independent.number_tables(OFF_LATTICE, 3, 4, COARSE, [None], carries)
     assert "renewal" not in meta["engines"]
-    arrays, _ = independent.number_table(OFF_LATTICE, 3, 4, COARSE,
-                                         carries=tuple(map(np.array, carries)))
+    (arrays, _), = independent.number_tables(OFF_LATTICE, 3, 4, COARSE, [None],
+                                             tuple(map(np.array, carries)))
     assert np.array_equal(listed, arrays)
     for bad in (([math.nan], [1.0]), ([math.inf], [1.0]), ([-0.1], [1.0]),
                 ([0.1, 0.2], [1.0]), ([0.1], [math.nan])):
         with pytest.raises(DomainError):
-            independent.number_table(OFF_LATTICE, 3, 4, COARSE, carries=bad)
+            independent.number_tables(OFF_LATTICE, 3, 4, COARSE, [None], bad)
         with pytest.raises(DomainError):
             independent.coherent_rows(OFF_LATTICE, [1, 2], 1.0, COARSE, [None], bad)
 
@@ -489,6 +489,6 @@ def test_near_carry_runs_sobol_only_under_auto(monkeypatch, method, sobol):
     independent.fock_row(EXP, 5, np.arange(3), spec, ([0.02, 0.2], [0.5, 0.5]))
     assert ("qmc_sobol" in engines) == sobol
     if not sobol:
-        _, meta = independent.number_table(EXP, 5, 5, spec, carries=([0.02, 0.2], [0.5, 0.5]))
+        (_, meta), = independent.number_tables(EXP, 5, 5, spec, [None], ([0.02, 0.2], [0.5, 0.5]))
         assert set(engines) == {"nested_gauss"}
         assert meta["engines"][1:] == ["nested_gauss"] * 5

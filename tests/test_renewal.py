@@ -10,7 +10,7 @@ from snspd_stats import (CwConfig, DetectorConfig, DomainError, EfficiencyProfil
                          cond_prob_matrix, last_click_density, renewal)
 from snspd_stats.continuous import _carry_nodes, memory_kernels, resolve_delta
 from snspd_stats.independent import (coherent_row, coherent_rows, deadtime_closed_form,
-                                     fock_row, number_table, same_count_probability)
+                                     fock_row, number_tables, same_count_probability)
 from snspd_stats.montecarlo import simulate_interpulse_gaps
 from snspd_stats.quadrature import _gauss
 from snspd_stats.reconstruct import ReconstructionSpec, reconstruct_details
@@ -239,9 +239,9 @@ def test_kernel_meta_records_both_tables():
         warnings.simplefilter("ignore")
         kern = memory_kernels(EXP, cw, m_max=6, spec=SPEC)
     last_click = (1.0 - cw.delta, 1.0)
-    _, fresh = number_table(EXP, 6, 6, SPEC, last_click=last_click)
-    _, carried = number_table(EXP, 6, 6, SPEC, last_click=last_click,
-                              carries=_carry_nodes(EXP, cw.delta))
+    (_, fresh), = number_tables(EXP, 6, 6, SPEC, [last_click])
+    (_, carried), = number_tables(EXP, 6, 6, SPEC, [last_click],
+                                  carries=_carry_nodes(EXP, cw.delta))
     assert kern.meta["seed"] == SPEC.seed
     assert kern.meta["engines"] == {"a": fresh["engines"], "b": carried["engines"]}
     assert kern.meta["engines"]["b"] == ["closed_form"] + ["renewal"] * 6
@@ -270,7 +270,7 @@ def test_carry_average_matches_the_per_carry_batch(kind, last_click):
     assert np.abs(value - ref).max() < 1e-13
     assert np.all(err <= ref_err + 1e-13)  # both move by round-off
     top = len(value) - 1
-    entries, meta = number_table(config, top, 11, SPEC, carries=carries, last_click=last_click)
+    (entries, meta), = number_tables(config, top, 11, SPEC, [last_click], carries=carries)
     assert meta["engines"] == ["closed_form"] + ["renewal"] * top
     assert np.array_equal(entries[1:], value[1:])
 
@@ -312,8 +312,8 @@ def test_kernels_share_one_carried_chain(config, monkeypatch):
         alone = carryover_matrix(config, cw, m_max=8, spec=SPEC)
     assert np.array_equal(kern.d_matrix.entries, alone.entries)
     assert kern.d_matrix.meta == alone.meta
-    carried, _ = number_table(config, 8, 8, SPEC, last_click=(1.0 - cw.delta, 1.0),
-                              carries=_carry_nodes(config, cw.delta))
+    (carried, _), = number_tables(config, 8, 8, SPEC, [(1.0 - cw.delta, 1.0)],
+                                  carries=_carry_nodes(config, cw.delta))
     assert np.array_equal(kern.b_m, 1.0 - carried.sum(axis=0))
 
 
@@ -397,9 +397,9 @@ def test_zero_rows_give_zero_tables():
 def test_pinned_fallback_rows_record_their_free_times():
     # the pinned sixth row integrates five free times by nested Gauss
     spec = QuadratureSpec(method="nested_gauss", gauss_order=8)
-    _, meta = number_table(EXP, 6, 6, spec, last_click=0.9)
+    (_, meta), = number_tables(EXP, 6, 6, spec, [0.9])
     assert meta["engines"] == ["closed_form"] + ["nested_gauss"] * 6
-    _, meta = number_table(EXP, 6, 6, QuadratureSpec(method="qmc_sobol"), last_click=0.9)
+    (_, meta), = number_tables(EXP, 6, 6, QuadratureSpec(method="qmc_sobol"), [0.9])
     assert meta["engines"] == ["closed_form"] + ["qmc_sobol"] * 6
 
 
@@ -578,7 +578,7 @@ def test_off_lattice_tabulated_falls_back_bit_for_bit(carry, last_click):
         renewal.fock_tables(config, 3, 4, [last_click], carries)
     with pytest.raises(DomainError):
         renewal.coherent_tables(config, 3, 1.0, [last_click], carries)
-    entries, meta = number_table(config, 3, 4, COARSE, carries=carries, last_click=last_click)
+    (entries, meta), = number_tables(config, 3, 4, COARSE, [last_click], carries=carries)
     assert "renewal" not in meta["engines"] and meta["renewal_err"] is None
     ref = _gauss_rows(config, 3, 4, COARSE, carry=carry, last_click=last_click)
     assert np.array_equal(entries[1:], ref[1:])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy.stats import binom, poisson
 from snspd_stats import (ConsistencyError, DetectorConfig, DomainError,
                          EfficiencyProfile, PhotonNumberDist, StateSpec,
                          photon_number_dist, squeezed_click_density)
-from snspd_stats.states import _scaled_legendre, squeezed_density_from_weights
+from snspd_stats.states import (TAIL_BOUND, _scaled_legendre, check_tail,
+                                squeezed_density_from_weights, within_tail)
 
 SQUEEZED_P0_R15 = 0.4250960349422805  # 1/cosh(1.5)
 
@@ -112,7 +114,7 @@ def test_only_coherent_states_record_a_poisson_mean(state):
                                    StateSpec.squeezed(0.5), StateSpec.custom([0.5, 0.5])])
 @pytest.mark.parametrize("m_max", [2.5, 3.0, -1, True, "4", np.float64(4.0)])
 def test_explicit_m_max_must_be_a_nonnegative_integer(state, m_max):
-    with pytest.raises(DomainError, match="m_max must be a nonnegative integer"):
+    with pytest.raises(DomainError, match="m_max must be (an integer|nonnegative)"):
         photon_number_dist(state, eta=0.9, nu=0.1, m_max=m_max)
 
 
@@ -311,3 +313,47 @@ class TestSqueezedClickDensity:
         np.testing.assert_allclose(_scaled_legendre(11, u, rho), ref, rtol=1e-13, atol=1e-15)
         grid = _scaled_legendre(11, np.full((2, 3), u), np.full((2, 3), rho))
         assert grid.shape == (12, 2, 3) and np.allclose(grid[:, 1, 2], ref, rtol=1e-13)
+
+
+class TestTailRule:
+    @pytest.mark.parametrize("m_max", [20, 64])
+    @pytest.mark.parametrize("eta", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_refusal_names_a_cutoff_that_meets_the_bound(self, r, eta, m_max):
+        dist = photon_number_dist(StateSpec.squeezed(r), eta=eta, nu=0.0, m_max=m_max)
+        if dist.tail <= TAIL_BOUND:
+            check_tail(dist)
+            return
+        with pytest.raises(DomainError, match="exceeds") as refusal:
+            check_tail(dist)
+        message = refusal.value.args[0]
+        named = int(re.search(r"m_max (?:up )?to (\d+)", message).group(1))
+        wider = photon_number_dist(StateSpec.squeezed(r), eta=eta, nu=0.0, m_max=named)
+        if "increase m_max" in message:
+            assert named > m_max and wider.tail <= TAIL_BOUND
+        else:
+            assert "no m_max up to" in message and wider.tail > TAIL_BOUND
+            assert named >= 1024
+
+    @pytest.mark.parametrize("r, eta, m_max, named", [
+        (1.5, 0.8, None, 256), (1.5, 1.0, 20, 320), (2.0, 1.0, 20, 640)])
+    def test_search_doubles_from_the_cutoff(self, r, eta, m_max, named):
+        dist = photon_number_dist(StateSpec.squeezed(r), eta=eta, nu=0.0, m_max=m_max)
+        assert within_tail(dist).m_max == named
+        with pytest.raises(DomainError, match=f"increase m_max to {named}$"):
+            check_tail(dist)
+
+    def test_no_cutoff_holds_a_huge_squeezing(self):
+        dist = photon_number_dist(StateSpec.squeezed(300.0), eta=1.0, nu=0.0)
+        with pytest.raises(DomainError, match="no m_max up to 1024 brings it within"):
+            check_tail(dist)
+
+    def test_a_hand_built_distribution_has_no_state_to_widen(self):
+        dist = PhotonNumberDist(probs=np.array([0.5, 0.4]), tail=0.1, eta=1.0, nu=0.0)
+        assert within_tail(dist) is dist and dist.label == "" and dist.poisson_mean is None
+        with pytest.raises(DomainError, match="records no state to rebuild"):
+            check_tail(dist)
+
+    def test_a_search_from_zero_photons_starts_at_one(self):
+        dist = photon_number_dist(StateSpec.coherent(1.0), eta=1.0, nu=0.0, m_max=0)
+        assert within_tail(dist).m_max == 16

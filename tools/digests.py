@@ -11,8 +11,9 @@ dead = tau_d 0.05, fast = exp with tau_r 5e-6 and, for the memory model,
 ``CwConfig(delta=0.3)``.  A simulator row hashes the click counts, the
 window count and, where the run collects them, the last-click offsets or
 the inter-click gaps, in the order the run returns them; a gap sampler row
-hashes the gaps.  An output that raises one of the package's errors reads
-``raises <error>`` and has no floats.
+hashes the gaps.  A ``cli`` row hashes the bytes ``cli.main`` writes, and
+its values are those bytes.  An output that raises one of the package's
+errors reads ``raises <error>`` and has no floats.
 
 Run it on two checkouts and compare the lines (timings go to stderr): a
 digest moves only where a change means to move it.
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import pickle
 import re
@@ -57,7 +59,8 @@ from snspd_stats import (CwConfig, DetectorConfig, EfficiencyProfile,  # noqa: E
                          coherent_click_probability_after_gap, cond_prob_matrix,
                          empirical_distribution, last_click_density, photon_number_dist,
                          regular_irregular_split, simulate_interpulse_gaps,
-                         squeezed_distribution_direct)
+                         squeezed_distribution_direct, write_gaps_binary)
+from snspd_stats.cli import main as cli_main  # noqa: E402
 from snspd_stats.continuous import last_click_density_fock, memory_kernels  # noqa: E402
 from snspd_stats.errors import (ConsistencyError, DomainError,  # noqa: E402
                                 EstimationError, IntegrationError)
@@ -155,6 +158,28 @@ def _split():
             for part in regular_irregular_split(c, n, m, SPEC)]
 
 
+def _cli(*argv, gaps=False, config=None):
+    """The digest and bytes of what ``cli.main`` writes for ``argv``.
+
+    ``gaps`` adds ``--gaps`` with 10^5 exp gaps at rate 0.25, ``config``
+    adds ``--config`` with that JSON object.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = list(argv) + ["--out", str(tmp / "out")]
+        if gaps:
+            write_gaps_binary(tmp / "gaps.f64", simulate_interpulse_gaps(EXP, 0.25, 100_000,
+                                                                         seed=14))
+            argv += ["--gaps", str(tmp / "gaps.f64")]
+        if config is not None:
+            (tmp / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp / "config.json")]
+        if cli_main(argv) != 0:
+            raise DomainError(f"cli exit code for {argv[0]}")
+        out = (tmp / "out").read_bytes()
+    return hashlib.sha256(out).hexdigest()[:16], np.frombuffer(out, dtype=np.uint8)
+
+
 OUTPUTS = {
     "photon_number_dist coherent 2 eta 0.9 nu 0.05 | fock 4 eta 0.8 nu 0.1 | squeezed r 1 nu 0.1 "
     "| custom eta 0.7": _photon_number_dists,
@@ -237,6 +262,21 @@ OUTPUTS = {
     "simulate_interpulse_gaps dead rate 0.25, 10^6 gaps":
         lambda: simulate_interpulse_gaps(DEAD, 0.25, 1_000_000, seed=13),
     "validate --suite quick": _validate_quick,
+    "cli dist coherent:2 exp": lambda: _cli("dist", "--state", "coherent:2", "--profile", "exp",
+                                            "--seed", "3"),
+    "cli matrix --closed-form deadtime m_max 12":
+        lambda: _cli("matrix", "--profile", "deadtime", "--m-max", "12", "--closed-form"),
+    "cli cw fock:2 exp delta 0.3": lambda: _cli("cw", "--state", "fock:2", "--profile", "exp",
+                                                "--delta", "0.3", "--seed", "3"),
+    "cli simulate fock:3 deadtime tau_d 0.2, 2^14 trials":
+        lambda: _cli("simulate", "--state", "fock:3", "--profile", "deadtime", "--tau-d", "0.2",
+                     "--trials", "16384", "--seed", "5"),
+    "cli reconstruct --rate-hint 0.25, tau_m 1":
+        lambda: _cli("reconstruct", "--bin-width", "0.02", "--t-max", "1.0", "--rate-hint", "0.25",
+                     gaps=True),
+    "cli dist --config fock:2 exp tau_m 2 (window units)":
+        lambda: _cli("dist", config={"state": "fock:2", "profile": "exp", "tau_m": 2.0,
+                                     "tau_d": 0.05, "tau_r": 0.2, "seed": 3}),
 }
 
 
