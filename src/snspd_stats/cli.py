@@ -110,16 +110,18 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _check_type(key: str, val) -> None:
-    """A ``--config`` value must have its flag's type (an int passes for a float).
+    """A ``--config`` value must have its flag's type (an int passes for a float) and choices.
 
     Null is accepted where the default is null.
     """
-    kind = _OPTIONS[key].type
-    if val is None and _OPTIONS[key].default is None:
+    opt = _OPTIONS[key]
+    if val is None and opt.default is None:
         return
-    allowed = (int, float) if kind is float else kind
+    allowed = (int, float) if opt.type is float else opt.type
     if not isinstance(val, allowed) or isinstance(val, bool):
-        raise DomainError(f"config key {key!r} needs a {kind.__name__}, got {val!r}")
+        raise DomainError(f"config key {key!r} needs a {opt.type.__name__}, got {val!r}")
+    if opt.choices and val not in opt.choices:
+        raise DomainError(f"config key {key!r} needs one of {opt.choices}, got {val!r}")
 
 
 def _absolute(r: dict, name: str, value=None):
@@ -183,7 +185,7 @@ def _emit_json(payload: dict, r: dict, command: str) -> None:
 
 
 def _state_dist(r: dict):
-    """The state's number distribution, and the detector at eta 1 and nu 0: both live in the state."""
+    """The state's number distribution, and the detector at eta 1 and nu 0 (both in the state)."""
     config = _build_config(r)
     dist = photon_number_dist(StateSpec.parse(r["state"]), eta=config.eta, nu=config.nu)
     return dist, replace(config, eta=1.0, nu=0.0)

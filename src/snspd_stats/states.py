@@ -187,7 +187,7 @@ class PhotonNumberDist:
 
     @property
     def poisson_mean(self) -> Optional[float]:
-        """A coherent state's Poisson mean, which lets a click distribution skip the number basis."""
+        """A coherent state's Poisson mean: a click distribution can skip the number basis."""
         if self.spec is None or self.spec.kind != "coherent":
             return None
         return _coherent_mean(self.spec, self.eta, self.nu)

@@ -163,6 +163,16 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("key, value", [("time_unit", "hours"), ("format", "xml"),
+                                        ("method", "trapezoid"), ("tail_correction", "some")])
+def test_config_value_outside_the_flag_choices_is_usage_error(tmp_path, capsys, key, value):
+    # a time unit other than "taum" was read as seconds, a format other than csv as json
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value, "state": "fock:1"}))
+    assert main(["dist", "--config", str(cfg)]) == 2
+    assert f"config key {key!r} needs one of" in capsys.readouterr().err
+
+
 def test_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 2
     assert main(["dist", "--state", "thermal:2"]) == 2
